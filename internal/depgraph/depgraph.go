@@ -22,13 +22,29 @@ type Edge struct {
 }
 
 // Graph is an event dependency graph G(V, E, f) over a log's alphabet.
+//
+// A Graph is immutable once built, and every table a search reads is built
+// with it: the (From, To)-sorted edge list with its frequencies, the
+// adjacency lists, and the vertex and edge orders by ascending frequency.
+// Edges are sorted by From first, so the out-edges of v are the contiguous
+// window [out[v], out[v+1]) of edges, and succ and edgeFreq restricted to
+// that window are v's sorted successors and their frequencies. Lookups
+// binary-search that window; nothing hashes.
 type Graph struct {
 	alphabet   *event.Alphabet
 	n          int
 	vertexFreq []float64
-	edgeFreq   map[Edge]float64
-	succ       [][]event.ID // adjacency: out-neighbours per vertex, sorted
-	pred       [][]event.ID // adjacency: in-neighbours per vertex, sorted
+
+	edges    []Edge     // every edge, sorted by (From, To)
+	edgeFreq []float64  // edgeFreq[i] = f(edges[i])
+	out      []int      // out-edges of v: edges[out[v]:out[v+1]]
+	succ     []event.ID // succ[i] = edges[i].To
+	in       []int      // in-neighbours of v: pred[in[v]:in[v+1]]
+	pred     []event.ID // sources grouped by target, each group sorted
+	predFreq []float64  // predFreq[i] = f(pred[i] → its group's target)
+
+	vertexByFreq []event.ID // vertex ids by ascending frequency, ties by id
+	edgeByFreq   []int      // edge indices by ascending frequency, ties by (From, To)
 }
 
 // Build constructs the dependency graph of a log.
@@ -38,64 +54,111 @@ func Build(l *event.Log) *Graph {
 		alphabet:   l.Alphabet,
 		n:          n,
 		vertexFreq: make([]float64, n),
-		edgeFreq:   make(map[Edge]float64),
 	}
-	if l.NumTraces() == 0 {
-		g.buildAdjacency()
-		return g
-	}
-	seenV := make([]bool, n)
-	seenE := make(map[Edge]bool)
-	for _, t := range l.Traces {
-		for i := range seenV {
-			seenV[i] = false
-		}
-		for k := range seenE {
-			delete(seenE, k)
-		}
+	// Count each vertex and edge at most once per trace: vlast and elast
+	// hold the 1-based number of the last trace that counted them.
+	vlast := make([]int, n)
+	var (
+		ids   = make(map[Edge]int) // edge → first-seen index
+		first []Edge
+		count []float64
+		elast []int
+	)
+	for ti, t := range l.Traces {
+		stamp := ti + 1
 		for i, e := range t {
-			if !seenV[e] {
-				seenV[e] = true
+			if vlast[e] != stamp {
+				vlast[e] = stamp
 				g.vertexFreq[e]++
 			}
 			if i+1 < len(t) {
 				ed := Edge{e, t[i+1]}
-				if !seenE[ed] {
-					seenE[ed] = true
-					g.edgeFreq[ed]++
+				k, ok := ids[ed]
+				if !ok {
+					k = len(first)
+					ids[ed] = k
+					first = append(first, ed)
+					count = append(count, 0)
+					elast = append(elast, 0)
+				}
+				if elast[k] != stamp {
+					elast[k] = stamp
+					count[k]++
 				}
 			}
 		}
 	}
-	inv := 1 / float64(l.NumTraces())
-	for i := range g.vertexFreq {
-		g.vertexFreq[i] *= inv
+	g.edges = first
+	sort.Slice(g.edges, func(i, j int) bool {
+		if g.edges[i].From != g.edges[j].From {
+			return g.edges[i].From < g.edges[j].From
+		}
+		return g.edges[i].To < g.edges[j].To
+	})
+	g.edgeFreq = make([]float64, len(g.edges))
+	for i, e := range g.edges {
+		g.edgeFreq[i] = count[ids[e]]
 	}
-	for k, v := range g.edgeFreq {
-		g.edgeFreq[k] = v * inv
+	if l.NumTraces() > 0 {
+		inv := 1 / float64(l.NumTraces())
+		for i := range g.vertexFreq {
+			g.vertexFreq[i] *= inv
+		}
+		for i := range g.edgeFreq {
+			g.edgeFreq[i] *= inv
+		}
 	}
-	g.buildAdjacency()
+	g.buildTables()
 	return g
 }
 
-func (g *Graph) buildAdjacency() {
-	g.succ = make([][]event.ID, g.n)
-	g.pred = make([][]event.ID, g.n)
-	for e := range g.edgeFreq {
-		g.succ[e.From] = append(g.succ[e.From], e.To)
-		g.pred[e.To] = append(g.pred[e.To], e.From)
+// buildTables derives the adjacency windows and the frequency orders from
+// the sorted edge list.
+func (g *Graph) buildTables() {
+	g.out = make([]int, g.n+1)
+	g.in = make([]int, g.n+1)
+	g.succ = make([]event.ID, len(g.edges))
+	for i, e := range g.edges {
+		g.out[e.From+1]++
+		g.in[e.To+1]++
+		g.succ[i] = e.To
 	}
-	for i := 0; i < g.n; i++ {
-		sort.Slice(g.succ[i], func(a, b int) bool { return g.succ[i][a] < g.succ[i][b] })
-		sort.Slice(g.pred[i], func(a, b int) bool { return g.pred[i][a] < g.pred[i][b] })
+	for v := 0; v < g.n; v++ {
+		g.out[v+1] += g.out[v]
+		g.in[v+1] += g.in[v]
 	}
+	// Edges arrive in ascending From order, so each target's group of
+	// sources fills up sorted.
+	g.pred = make([]event.ID, len(g.edges))
+	g.predFreq = make([]float64, len(g.edges))
+	next := append([]int(nil), g.in[:g.n]...)
+	for i, e := range g.edges {
+		g.pred[next[e.To]] = e.From
+		g.predFreq[next[e.To]] = g.edgeFreq[i]
+		next[e.To]++
+	}
+
+	g.vertexByFreq = make([]event.ID, g.n)
+	for v := range g.vertexByFreq {
+		g.vertexByFreq[v] = event.ID(v)
+	}
+	sort.SliceStable(g.vertexByFreq, func(i, j int) bool {
+		return g.vertexFreq[g.vertexByFreq[i]] < g.vertexFreq[g.vertexByFreq[j]]
+	})
+	g.edgeByFreq = make([]int, len(g.edges))
+	for i := range g.edgeByFreq {
+		g.edgeByFreq[i] = i
+	}
+	sort.SliceStable(g.edgeByFreq, func(i, j int) bool {
+		return g.edgeFreq[g.edgeByFreq[i]] < g.edgeFreq[g.edgeByFreq[j]]
+	})
 }
 
 // NumVertices reports the number of vertices (the alphabet size).
 func (g *Graph) NumVertices() int { return g.n }
 
 // NumEdges reports the number of edges with nonzero frequency.
-func (g *Graph) NumEdges() int { return len(g.edgeFreq) }
+func (g *Graph) NumEdges() int { return len(g.edges) }
 
 // Alphabet returns the alphabet the graph was built over.
 func (g *Graph) Alphabet() *event.Alphabet { return g.alphabet }
@@ -103,67 +166,79 @@ func (g *Graph) Alphabet() *event.Alphabet { return g.alphabet }
 // VertexFreq returns f(v,v), the normalized frequency of event v.
 func (g *Graph) VertexFreq(v event.ID) float64 { return g.vertexFreq[v] }
 
+// edgeIndex returns the position of v→u in the edge list, or -1 if the edge
+// is absent or either endpoint is not a vertex.
+func (g *Graph) edgeIndex(v, u event.ID) int {
+	if uint(v) >= uint(g.n) {
+		return -1
+	}
+	lo, hi := g.out[v], g.out[v+1]
+	end := hi
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if g.succ[mid] < u {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	if lo < end && g.succ[lo] == u {
+		return lo
+	}
+	return -1
+}
+
 // EdgeFreq returns f(v,u) for the edge v→u, or 0 if the edge is absent.
-func (g *Graph) EdgeFreq(v, u event.ID) float64 { return g.edgeFreq[Edge{v, u}] }
+func (g *Graph) EdgeFreq(v, u event.ID) float64 {
+	if i := g.edgeIndex(v, u); i >= 0 {
+		return g.edgeFreq[i]
+	}
+	return 0
+}
 
 // HasEdge reports whether v→u has nonzero frequency.
-func (g *Graph) HasEdge(v, u event.ID) bool {
-	_, ok := g.edgeFreq[Edge{v, u}]
-	return ok
-}
+func (g *Graph) HasEdge(v, u event.ID) bool { return g.edgeIndex(v, u) >= 0 }
 
 // Successors returns the out-neighbours of v in ascending id order. The
-// returned slice must not be modified.
-func (g *Graph) Successors(v event.ID) []event.ID { return g.succ[v] }
+// returned slice is shared and must not be modified.
+func (g *Graph) Successors(v event.ID) []event.ID {
+	return g.succ[g.out[v]:g.out[v+1]:g.out[v+1]]
+}
 
 // Predecessors returns the in-neighbours of v in ascending id order. The
-// returned slice must not be modified.
-func (g *Graph) Predecessors(v event.ID) []event.ID { return g.pred[v] }
-
-// Edges returns all edges sorted by (From, To); handy for deterministic
-// iteration in tools and tests.
-func (g *Graph) Edges() []Edge {
-	out := make([]Edge, 0, len(g.edgeFreq))
-	for e := range g.edgeFreq {
-		out = append(out, e)
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].From != out[j].From {
-			return out[i].From < out[j].From
-		}
-		return out[i].To < out[j].To
-	})
-	return out
+// returned slice is shared and must not be modified.
+func (g *Graph) Predecessors(v event.ID) []event.ID {
+	return g.pred[g.in[v]:g.in[v+1]:g.in[v+1]]
 }
 
-// MaxVertexFreq returns the highest vertex frequency among the given vertex
-// set; it underlies the tight bound's fn term. Returns 0 for an empty set.
-func (g *Graph) MaxVertexFreq(set []event.ID) float64 {
-	max := 0.0
-	for _, v := range set {
-		if f := g.vertexFreq[v]; f > max {
-			max = f
-		}
-	}
-	return max
+// SuccessorFreqs returns the frequencies of v's out-edges, parallel to
+// Successors(v). The returned slice is shared and must not be modified.
+func (g *Graph) SuccessorFreqs(v event.ID) []float64 {
+	return g.edgeFreq[g.out[v]:g.out[v+1]:g.out[v+1]]
 }
 
-// MaxEdgeFreqWithin returns the highest edge frequency in the subgraph induced
-// by the given vertex set; it underlies the tight bound's fe term. Returns 0
-// when the induced subgraph has no edges.
-func (g *Graph) MaxEdgeFreqWithin(set []event.ID) float64 {
-	in := make(map[event.ID]bool, len(set))
-	for _, v := range set {
-		in[v] = true
-	}
-	max := 0.0
-	for e, f := range g.edgeFreq {
-		if in[e.From] && in[e.To] && f > max {
-			max = f
-		}
-	}
-	return max
+// PredecessorFreqs returns the frequencies of v's in-edges, parallel to
+// Predecessors(v). The returned slice is shared and must not be modified.
+func (g *Graph) PredecessorFreqs(v event.ID) []float64 {
+	return g.predFreq[g.in[v]:g.in[v+1]:g.in[v+1]]
 }
+
+// Edges returns all edges sorted by (From, To). The slice is the graph's
+// own, shared by every caller: it must not be modified.
+func (g *Graph) Edges() []Edge { return g.edges }
+
+// EdgeFreqs returns the edge frequencies in Edges() order: EdgeFreqs()[i] is
+// f(Edges()[i]). The slice is shared and must not be modified.
+func (g *Graph) EdgeFreqs() []float64 { return g.edgeFreq }
+
+// VerticesByFreq returns every vertex id ordered by ascending frequency,
+// ties by id. The slice is shared and must not be modified.
+func (g *Graph) VerticesByFreq() []event.ID { return g.vertexByFreq }
+
+// EdgesByFreq returns the indices into Edges() ordered by ascending edge
+// frequency, ties in (From, To) order. The slice is shared and must not be
+// modified.
+func (g *Graph) EdgesByFreq() []int { return g.edgeByFreq }
 
 // Dot renders the graph in Graphviz dot syntax with frequency labels; useful
 // for debugging and documentation (mirrors the paper's Fig. 1e/1f).
@@ -173,8 +248,8 @@ func (g *Graph) Dot(name string) string {
 	for v := 0; v < g.n; v++ {
 		fmt.Fprintf(&b, "  %q [label=\"%s\\n%.2f\"];\n", g.alphabet.Name(event.ID(v)), g.alphabet.Name(event.ID(v)), g.vertexFreq[v])
 	}
-	for _, e := range g.Edges() {
-		fmt.Fprintf(&b, "  %q -> %q [label=\"%.2f\"];\n", g.alphabet.Name(e.From), g.alphabet.Name(e.To), g.edgeFreq[e])
+	for i, e := range g.edges {
+		fmt.Fprintf(&b, "  %q -> %q [label=\"%.2f\"];\n", g.alphabet.Name(e.From), g.alphabet.Name(e.To), g.edgeFreq[i])
 	}
 	b.WriteString("}\n")
 	return b.String()

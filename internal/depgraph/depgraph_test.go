@@ -131,34 +131,6 @@ func TestEdgesSorted(t *testing.T) {
 	}
 }
 
-func TestMaxFreqHelpers(t *testing.T) {
-	l := fig1L1()
-	g := Build(l)
-	a := l.Alphabet
-	all := make([]event.ID, l.NumEvents())
-	for i := range all {
-		all[i] = event.ID(i)
-	}
-	if f := g.MaxVertexFreq(all); f != 1.0 {
-		t.Errorf("MaxVertexFreq(all) = %v, want 1.0", f)
-	}
-	if f := g.MaxVertexFreq(nil); f != 0 {
-		t.Errorf("MaxVertexFreq(nil) = %v, want 0", f)
-	}
-	ef := []event.ID{a.Lookup("E"), a.Lookup("F")}
-	if f := g.MaxVertexFreq(ef); !approx(f, 0.6) {
-		t.Errorf("MaxVertexFreq(E,F) = %v, want 0.6", f)
-	}
-	// Induced subgraph on {E, F} has no edges.
-	if f := g.MaxEdgeFreqWithin(ef); f != 0 {
-		t.Errorf("MaxEdgeFreqWithin(E,F) = %v, want 0", f)
-	}
-	bc := []event.ID{a.Lookup("B"), a.Lookup("C")}
-	if f := g.MaxEdgeFreqWithin(bc); !approx(f, 0.6) {
-		t.Errorf("MaxEdgeFreqWithin(B,C) = %v, want 0.6 (BC edge)", f)
-	}
-}
-
 func TestDot(t *testing.T) {
 	g := Build(event.FromStrings("A B"))
 	dot := g.Dot("G")
@@ -258,5 +230,146 @@ func TestAlphabetAccessor(t *testing.T) {
 	g := Build(l)
 	if g.Alphabet() != l.Alphabet {
 		t.Error("Alphabet() must return the log's alphabet")
+	}
+}
+
+// refGraph is a test-local dependency graph built straight from the traces
+// into maps, the way Build worked before its tables were precomputed.
+type refGraph struct {
+	vertex map[event.ID]float64
+	edge   map[Edge]float64
+}
+
+func newRefGraph(l *event.Log) refGraph {
+	r := refGraph{vertex: map[event.ID]float64{}, edge: map[Edge]float64{}}
+	for _, t := range l.Traces {
+		seenV, seenE := map[event.ID]bool{}, map[Edge]bool{}
+		for i, v := range t {
+			if !seenV[v] {
+				seenV[v] = true
+				r.vertex[v]++
+			}
+			if i+1 < len(t) {
+				if e := (Edge{v, t[i+1]}); !seenE[e] {
+					seenE[e] = true
+					r.edge[e]++
+				}
+			}
+		}
+	}
+	if l.NumTraces() > 0 {
+		inv := 1 / float64(l.NumTraces())
+		for v, c := range r.vertex {
+			r.vertex[v] = c * inv
+		}
+		for e, c := range r.edge {
+			r.edge[e] = c * inv
+		}
+	}
+	return r
+}
+
+// checkAgainstRef compares every accessor of g with the map reference over
+// all n×n vertex pairs, so absent edges are probed as well as present ones.
+func checkAgainstRef(t *testing.T, l *event.Log) {
+	t.Helper()
+	g, ref := Build(l), newRefGraph(l)
+	n := l.NumEvents()
+	if g.NumVertices() != n || g.NumEdges() != len(ref.edge) {
+		t.Fatalf("V=%d E=%d, reference V=%d E=%d", g.NumVertices(), g.NumEdges(), n, len(ref.edge))
+	}
+	var want []Edge
+	for v := 0; v < n; v++ {
+		a := event.ID(v)
+		if g.VertexFreq(a) != ref.vertex[a] {
+			t.Fatalf("f(%d) = %v, reference %v", a, g.VertexFreq(a), ref.vertex[a])
+		}
+		var succ, pred []event.ID
+		for u := 0; u < n; u++ {
+			b := event.ID(u)
+			f, ok := ref.edge[Edge{a, b}]
+			if g.EdgeFreq(a, b) != f || g.HasEdge(a, b) != ok {
+				t.Fatalf("edge %d→%d: EdgeFreq %v HasEdge %v, reference %v %v",
+					a, b, g.EdgeFreq(a, b), g.HasEdge(a, b), f, ok)
+			}
+			if ok {
+				succ = append(succ, b)
+				want = append(want, Edge{a, b})
+			}
+			if _, ok := ref.edge[Edge{b, a}]; ok {
+				pred = append(pred, b)
+			}
+		}
+		if !equalIDs(g.Successors(a), succ) || !equalIDs(g.Predecessors(a), pred) {
+			t.Fatalf("vertex %d: Successors %v Predecessors %v, reference %v %v",
+				a, g.Successors(a), g.Predecessors(a), succ, pred)
+		}
+	}
+	// want was filled in (From, To) order, so this also pins the sort.
+	edges, freqs := g.Edges(), g.EdgeFreqs()
+	if len(edges) != len(want) || len(freqs) != len(want) {
+		t.Fatalf("Edges() has %d entries, EdgeFreqs() %d, reference %d", len(edges), len(freqs), len(want))
+	}
+	for i, e := range want {
+		if edges[i] != e || freqs[i] != ref.edge[e] {
+			t.Fatalf("Edges()[%d] = %v (f %v), reference %v (f %v)", i, edges[i], freqs[i], e, ref.edge[e])
+		}
+	}
+	// The frequency orders are permutations, ascending by frequency.
+	byV, byE := g.VerticesByFreq(), g.EdgesByFreq()
+	if len(byV) != n || len(byE) != len(want) {
+		t.Fatalf("VerticesByFreq %d entries, EdgesByFreq %d", len(byV), len(byE))
+	}
+	seenV, seenE := make([]bool, n), make([]bool, len(want))
+	for i, v := range byV {
+		if seenV[v] || (i > 0 && g.VertexFreq(byV[i-1]) > g.VertexFreq(v)) {
+			t.Fatalf("VerticesByFreq = %v is not an ascending permutation", byV)
+		}
+		seenV[v] = true
+	}
+	for i, k := range byE {
+		if seenE[k] || (i > 0 && freqs[byE[i-1]] > freqs[k]) {
+			t.Fatalf("EdgesByFreq = %v is not an ascending permutation", byE)
+		}
+		seenE[k] = true
+	}
+}
+
+func equalIDs(a, b []event.ID) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if a[i] != b[i] {
+			return false
+		}
+	}
+	return true
+}
+
+// Property: every accessor agrees exactly with a map built directly from the
+// traces, on random logs whose short alphabets force self-loops, repeated
+// pairs and absent edges, and on a log with no traces.
+func TestGraphMatchesTraceReferenceProperty(t *testing.T) {
+	empty := event.NewLog()
+	for _, name := range []string{"A", "B", "C"} {
+		empty.Alphabet.Intern(name)
+	}
+	checkAgainstRef(t, empty)
+	rng := rand.New(rand.NewSource(7))
+	for iter := 0; iter < 200; iter++ {
+		l := event.NewLog()
+		n := 1 + rng.Intn(8)
+		for i := 0; i < n; i++ {
+			l.Alphabet.Intern(string(rune('A' + i)))
+		}
+		for i := 0; i < rng.Intn(25); i++ {
+			tr := make(event.Trace, rng.Intn(10))
+			for j := range tr {
+				tr[j] = event.ID(rng.Intn(n))
+			}
+			l.Append(tr)
+		}
+		checkAgainstRef(t, l)
 	}
 }

@@ -31,49 +31,51 @@ func (b BoundKind) String() string {
 	}
 }
 
-// boundContext carries the per-search-node precomputation shared by all
-// pattern bounds: the unmapped target set U2, its max vertex and edge
-// frequencies, and the sorted frequency value sets used by the sharpened
-// vertex/edge bounds.
+// boundContext carries the per-search-node state shared by all pattern
+// bounds: the unmapped target set U2 (every v2 with !used[v2]), its max
+// vertex and edge frequencies, and the sorted frequency value sets used by
+// the sharpened vertex/edge bounds. Its slices are scratch, reused across
+// nodes by whoever owns the context (see boundPool).
 type boundContext struct {
-	pr    *Problem
-	inU2  []bool
-	numU2 int
-	fnU2  float64 // max vertex frequency within U2
-	feU2  float64 // max edge frequency within the subgraph induced by U2
+	pr   *Problem
+	used []bool  // used[v2]: v2 is already an image, so not in U2
+	fnU2 float64 // max vertex frequency within U2
+	feU2 float64 // max edge frequency within the subgraph induced by U2
 
-	vfreqs []float64 // sorted vertex frequencies of U2 members
+	vfreqs []float64 // sorted vertex frequencies of U2 members, one per member
 	efreqs []float64 // sorted edge frequencies within the U2-induced subgraph
+
+	images []event.ID // complexBound scratch: images of a pattern's mapped events
 }
 
-// newBoundContext builds the context for the unmapped target set encoded in
-// used (used[v2] == true means v2 is already an image of the mapping).
-func newBoundContext(pr *Problem, used []bool) *boundContext {
-	n2 := pr.n2pad
-	bc := &boundContext{pr: pr, inU2: make([]bool, n2)}
-	for v := 0; v < n2; v++ {
+// reset refills bc for the node whose unmapped target set is encoded in
+// used (used[v2] == true means v2 is already an image of the mapping). G2
+// keeps its vertices and edges ordered by ascending frequency, so keeping
+// the entries whose endpoints are all in U2 yields both spectra already
+// sorted, with their maxima last.
+func (bc *boundContext) reset(pr *Problem, used []bool) {
+	g := pr.G2
+	bc.pr, bc.used = pr, used
+	bc.vfreqs = bc.vfreqs[:0]
+	for _, v := range g.VerticesByFreq() {
 		if !used[v] {
-			bc.inU2[v] = true
-			bc.numU2++
-			f := pr.G2.VertexFreq(event.ID(v))
-			bc.vfreqs = append(bc.vfreqs, f)
-			if f > bc.fnU2 {
-				bc.fnU2 = f
-			}
+			bc.vfreqs = append(bc.vfreqs, g.VertexFreq(v))
 		}
 	}
-	for _, e := range pr.G2.Edges() {
-		if bc.inU2[e.From] && bc.inU2[e.To] {
-			f := pr.G2.EdgeFreq(e.From, e.To)
-			bc.efreqs = append(bc.efreqs, f)
-			if f > bc.feU2 {
-				bc.feU2 = f
-			}
+	edges, freqs := g.Edges(), g.EdgeFreqs()
+	bc.efreqs = bc.efreqs[:0]
+	for _, i := range g.EdgesByFreq() {
+		if e := edges[i]; !used[e.From] && !used[e.To] {
+			bc.efreqs = append(bc.efreqs, freqs[i])
 		}
 	}
-	sort.Float64s(bc.vfreqs)
-	sort.Float64s(bc.efreqs)
-	return bc
+	bc.fnU2, bc.feU2 = 0, 0
+	if k := len(bc.vfreqs); k > 0 {
+		bc.fnU2 = bc.vfreqs[k-1]
+	}
+	if k := len(bc.efreqs); k > 0 {
+		bc.feU2 = bc.efreqs[k-1]
+	}
 }
 
 // bestSim returns max over f in the sorted candidate frequencies of
@@ -115,11 +117,10 @@ func bestSim(f1 float64, sorted []float64) float64 {
 //     spectra differ.
 func (bc *boundContext) patternBound(pi *pinfo, m Mapping, sharp bool) float64 {
 	pr := bc.pr
-	// Collect the images of p's mapped events.
-	var images []event.ID
+	mapped := 0
 	for _, v := range pi.events {
-		if v2 := m[v]; v2 != event.None {
-			images = append(images, v2)
+		if m[v] != event.None {
+			mapped++
 		}
 	}
 	// Partially-fixed Prop. 3 cut.
@@ -131,13 +132,14 @@ func (bc *boundContext) patternBound(pi *pinfo, m Mapping, sharp bool) float64 {
 			}
 		}
 	}
-	// Size cut: the pattern needs |V(p)| distinct targets among allowed.
-	if len(pi.events) > bc.numU2+len(images) {
+	// Size cut: the pattern needs |V(p)| distinct targets among allowed,
+	// which holds |U2| = len(vfreqs) targets plus the fixed images.
+	if len(pi.events) > len(bc.vfreqs)+mapped {
 		return 0
 	}
 	if !sharp {
 		// Paper-faithful Algorithm 2 for every pattern kind.
-		return bc.complexBound(pi, images)
+		return bc.complexBound(pi, m)
 	}
 
 	switch pi.kind {
@@ -164,9 +166,10 @@ func (bc *boundContext) patternBound(pi *pinfo, m Mapping, sharp bool) float64 {
 		case ma != event.None:
 			// Achievable f2: frequencies of edges ma → U2.
 			best := 0.0
-			for _, y := range pr.G2.Successors(ma) {
-				if bc.inU2[y] {
-					if s := Sim(pi.f1, pr.G2.EdgeFreq(ma, y)); s > best {
+			fs := pr.G2.SuccessorFreqs(ma)
+			for i, y := range pr.G2.Successors(ma) {
+				if !bc.used[y] {
+					if s := Sim(pi.f1, fs[i]); s > best {
 						best = s
 					}
 				}
@@ -174,9 +177,10 @@ func (bc *boundContext) patternBound(pi *pinfo, m Mapping, sharp bool) float64 {
 			return best
 		case mb != event.None:
 			best := 0.0
-			for _, y := range pr.G2.Predecessors(mb) {
-				if bc.inU2[y] {
-					if s := Sim(pi.f1, pr.G2.EdgeFreq(y, mb)); s > best {
+			fs := pr.G2.PredecessorFreqs(mb)
+			for i, y := range pr.G2.Predecessors(mb) {
+				if !bc.used[y] {
+					if s := Sim(pi.f1, fs[i]); s > best {
 						best = s
 					}
 				}
@@ -186,15 +190,22 @@ func (bc *boundContext) patternBound(pi *pinfo, m Mapping, sharp bool) float64 {
 			return bestSim(pi.f1, bc.efreqs)
 		}
 	default:
-		return bc.complexBound(pi, images)
+		return bc.complexBound(pi, m)
 	}
 }
 
 // complexBound is Algorithm 2: fmin = min(fn, ω·fe) over the allowed set
-// U2 ∪ images. (For a vertex pattern ω·fe does not apply; the fn term alone
-// bounds it.)
-func (bc *boundContext) complexBound(pi *pinfo, images []event.ID) float64 {
+// U2 ∪ images, where images are the targets of p's mapped events. (For a
+// vertex pattern ω·fe does not apply; the fn term alone bounds it.)
+func (bc *boundContext) complexBound(pi *pinfo, m Mapping) float64 {
 	pr := bc.pr
+	images := bc.images[:0]
+	for _, v := range pi.events {
+		if v2 := m[v]; v2 != event.None {
+			images = append(images, v2)
+		}
+	}
+	bc.images = images
 	fn := bc.fnU2
 	for _, x := range images {
 		if f := pr.G2.VertexFreq(x); f > fn {
@@ -211,17 +222,19 @@ func (bc *boundContext) complexBound(pi *pinfo, images []event.ID) float64 {
 		return false
 	}
 	for _, x := range images {
-		for _, y := range pr.G2.Successors(x) {
-			if bc.inU2[y] || inImages(y) || y == x {
-				if f := pr.G2.EdgeFreq(x, y); f > fe {
-					fe = f
+		fs := pr.G2.SuccessorFreqs(x)
+		for i, y := range pr.G2.Successors(x) {
+			if !bc.used[y] || inImages(y) || y == x {
+				if fs[i] > fe {
+					fe = fs[i]
 				}
 			}
 		}
-		for _, y := range pr.G2.Predecessors(x) {
-			if bc.inU2[y] || inImages(y) {
-				if f := pr.G2.EdgeFreq(y, x); f > fe {
-					fe = f
+		fs = pr.G2.PredecessorFreqs(x)
+		for i, y := range pr.G2.Predecessors(x) {
+			if !bc.used[y] || inImages(y) {
+				if fs[i] > fe {
+					fe = fs[i]
 				}
 			}
 		}
@@ -253,15 +266,22 @@ func (pr *Problem) hBound(kind BoundKind, m Mapping, used []bool) float64 {
 		}
 		return h
 	default:
-		bc := newBoundContext(pr, used)
-		sharp := kind == BoundSharp
-		h := 0.0
-		for i := range pr.patterns {
-			pi := &pr.patterns[i]
-			if !fullyMapped(pi, m) {
-				h += bc.patternBound(pi, m, sharp)
-			}
-		}
+		bc := pr.bounds.get()
+		bc.reset(pr, used)
+		h := bc.sum(kind == BoundSharp, m)
+		pr.bounds.put(bc)
 		return h
 	}
+}
+
+// sum adds up the pattern bounds of every pattern m leaves incomplete.
+func (bc *boundContext) sum(sharp bool, m Mapping) float64 {
+	h := 0.0
+	for i := range bc.pr.patterns {
+		pi := &bc.pr.patterns[i]
+		if !fullyMapped(pi, m) {
+			h += bc.patternBound(pi, m, sharp)
+		}
+	}
+	return h
 }

@@ -162,7 +162,8 @@ type Problem struct {
 
 	order []event.ID // static A* expansion order over V1 (§3.1)
 
-	nodes nodePool // recycled search-tree nodes (see pool.go)
+	nodes  nodePool  // recycled search-tree nodes (see pool.go)
+	bounds boundPool // recycled bound-context scratch (see pool.go)
 
 	// DisableExistencePruning turns off the Proposition 3 subgraph check
 	// before frequency evaluation (ablation only).

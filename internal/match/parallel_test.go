@@ -16,6 +16,16 @@ import (
 // matching instance.
 func buildProblem(t *testing.T, g *gen.Generated) *match.Problem {
 	t.Helper()
+	pr, err := match.BuildProblem(g.L1, g.L2, bindPatterns(t, g), match.ModePattern)
+	if err != nil {
+		t.Fatalf("BuildProblem: %v", err)
+	}
+	return pr
+}
+
+// bindPatterns binds a Generated workload's patterns to its source log.
+func bindPatterns(t *testing.T, g *gen.Generated) []*pattern.Pattern {
+	t.Helper()
 	var ps []*pattern.Pattern
 	for _, src := range g.Patterns {
 		p, err := pattern.ParseBind(src, g.L1.Alphabet)
@@ -24,11 +34,7 @@ func buildProblem(t *testing.T, g *gen.Generated) *match.Problem {
 		}
 		ps = append(ps, p)
 	}
-	pr, err := match.BuildProblem(g.L1, g.L2, ps, match.ModePattern)
-	if err != nil {
-		t.Fatalf("BuildProblem: %v", err)
-	}
-	return pr
+	return ps
 }
 
 // sameRun asserts two (mapping, stats) results are identical up to

@@ -40,3 +40,29 @@ func (np *nodePool) put(nd *node) {
 		np.p.Put(nd)
 	}
 }
+
+// boundPool recycles boundContext scratch for hBound. Every node's bound
+// refills the context's spectra from G2's precomputed tables, so a recycled
+// context allocates nothing once its slices have grown to G2's size. Like
+// nodePool it is a sync.Pool: each search goroutine (the sequential loop,
+// every expandBatch worker, every parallel Heuristic-Advanced scorer) holds
+// its own context for the length of one hBound call, and G2's tables are
+// only ever read.
+type boundPool struct {
+	p sync.Pool
+}
+
+// get returns a recycled context (stale — reset overwrites it) or a fresh
+// one.
+func (bp *boundPool) get() *boundContext {
+	if bc, ok := bp.p.Get().(*boundContext); ok {
+		return bc
+	}
+	return &boundContext{}
+}
+
+// put recycles bc, dropping its references to the caller's state.
+func (bp *boundPool) put(bc *boundContext) {
+	bc.pr, bc.used = nil, nil
+	bp.p.Put(bc)
+}
