@@ -12,8 +12,6 @@ import (
 	"eventmatch/internal/logio"
 	"eventmatch/internal/match"
 	"eventmatch/internal/telemetry"
-
-	"eventmatch"
 )
 
 // The server caches two layers of job-independent work, both keyed by content
@@ -51,107 +49,45 @@ func problemKey(h1, h2 string, mode match.Mode, patterns []string) string {
 	return fmt.Sprintf("%s|%s|%d|%s", h1, h2, int(mode), strings.Join(norm, "\x00"))
 }
 
-// logEntry is one fill-once log cache slot.
-type logEntry struct {
+// cacheEntry is one fill-once cache slot.
+type cacheEntry[V any] struct {
 	once sync.Once
-	log  *event.Log
-	rep  logio.ReadReport
+	val  V
 	err  error
 }
 
-// logCache caches parsed logs by content hash.
-type logCache struct {
+// onceCache caches values by content key: parsed logs (V = parsedLog) and
+// built match problems with their warm frequency caches.
+type onceCache[V any] struct {
 	mu      sync.Mutex
 	max     int
-	entries map[string]*logEntry
+	entries map[string]*cacheEntry[V]
 	order   []string
 
 	hits, misses *telemetry.Counter
 }
 
-func newLogCache(max int, reg *telemetry.Registry) *logCache {
-	c := &logCache{
+// newOnceCache creates a cache reporting server.<name>_{hits,misses,entries}.
+func newOnceCache[V any](name string, max int, reg *telemetry.Registry) *onceCache[V] {
+	c := &onceCache[V]{
 		max:     max,
-		entries: make(map[string]*logEntry),
-		hits:    reg.Counter("server.logcache_hits"),
-		misses:  reg.Counter("server.logcache_misses"),
+		entries: make(map[string]*cacheEntry[V]),
+		hits:    reg.Counter("server." + name + "_hits"),
+		misses:  reg.Counter("server." + name + "_misses"),
 	}
-	reg.RegisterFunc("server.logcache_entries", func() int64 { return int64(c.len()) })
+	reg.RegisterFunc("server."+name+"_entries", func() int64 { return int64(c.len()) })
 	return c
 }
 
-// get parses data (once per distinct key) and returns the shared log.
-func (c *logCache) get(key, format string, data []byte, opts logio.ReadOptions) (*event.Log, logio.ReadReport, error) {
+// get returns the value under key, running fill once per distinct key.
+// Entries past the cap are evicted oldest first; never the newest (the one
+// the caller is about to fill).
+func (c *onceCache[V]) get(key string, fill func() (V, error)) (V, error) {
 	c.mu.Lock()
 	e := c.entries[key]
 	if e == nil {
 		c.misses.Inc()
-		e = &logEntry{}
-		c.entries[key] = e
-		c.order = append(c.order, key)
-		c.evictLocked()
-	} else {
-		c.hits.Inc()
-	}
-	c.mu.Unlock()
-	e.once.Do(func() {
-		e.log, e.rep, e.err = logio.ReadWithReport(strings.NewReader(string(data)), format, opts)
-	})
-	return e.log, e.rep, e.err
-}
-
-// evictLocked drops the oldest entries beyond the cap. Never evicts the
-// newest entry (the one the caller is about to fill).
-func (c *logCache) evictLocked() {
-	for len(c.order) > c.max {
-		delete(c.entries, c.order[0])
-		c.order = c.order[1:]
-	}
-}
-
-func (c *logCache) len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.entries)
-}
-
-// problemEntry is one fill-once problem cache slot.
-type problemEntry struct {
-	once sync.Once
-	pr   *match.Problem
-	err  error
-}
-
-// problemCache caches built match problems (with their warm frequency
-// caches) by problem key.
-type problemCache struct {
-	mu      sync.Mutex
-	max     int
-	entries map[string]*problemEntry
-	order   []string
-
-	hits, misses *telemetry.Counter
-}
-
-func newProblemCache(max int, reg *telemetry.Registry) *problemCache {
-	c := &problemCache{
-		max:     max,
-		entries: make(map[string]*problemEntry),
-		hits:    reg.Counter("server.problemcache_hits"),
-		misses:  reg.Counter("server.problemcache_misses"),
-	}
-	reg.RegisterFunc("server.problemcache_entries", func() int64 { return int64(c.len()) })
-	return c
-}
-
-// get builds the problem (once per distinct key) and returns the shared
-// instance.
-func (c *problemCache) get(key string, l1, l2 *event.Log, patterns []string, mode match.Mode) (*match.Problem, error) {
-	c.mu.Lock()
-	e := c.entries[key]
-	if e == nil {
-		c.misses.Inc()
-		e = &problemEntry{}
+		e = &cacheEntry[V]{}
 		c.entries[key] = e
 		c.order = append(c.order, key)
 		for len(c.order) > c.max {
@@ -162,21 +98,18 @@ func (c *problemCache) get(key string, l1, l2 *event.Log, patterns []string, mod
 		c.hits.Inc()
 	}
 	c.mu.Unlock()
-	e.once.Do(func() {
-		var bound []*eventmatch.Pattern
-		if mode == match.ModePattern {
-			bound, e.err = eventmatch.BindPatterns(patterns, l1.Alphabet)
-			if e.err != nil {
-				return
-			}
-		}
-		e.pr, e.err = match.BuildProblem(l1, l2, bound, mode)
-	})
-	return e.pr, e.err
+	e.once.Do(func() { e.val, e.err = fill() })
+	return e.val, e.err
 }
 
-func (c *problemCache) len() int {
+func (c *onceCache[V]) len() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return len(c.entries)
+}
+
+// parsedLog is one log cache value.
+type parsedLog struct {
+	log *event.Log
+	rep logio.ReadReport
 }

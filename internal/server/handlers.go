@@ -18,35 +18,100 @@ func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /api/v1/jobs", s.handleSubmit)
 	mux.HandleFunc("GET /api/v1/jobs", s.handleList)
-	mux.HandleFunc("GET /api/v1/jobs/{id}", s.handleStatus)
-	mux.HandleFunc("GET /api/v1/jobs/{id}/result", s.handleResult)
-	mux.HandleFunc("POST /api/v1/jobs/{id}/cancel", s.handleCancel)
-	mux.HandleFunc("DELETE /api/v1/jobs/{id}", s.handleCancel)
+	mux.HandleFunc("GET /api/v1/jobs/{id}", byID(s.jobs, "job", s.handleStatus))
+	mux.HandleFunc("GET /api/v1/jobs/{id}/result", byID(s.jobs, "job", s.handleResult))
+	mux.HandleFunc("POST /api/v1/jobs/{id}/cancel", byID(s.jobs, "job", s.handleCancel))
+	mux.HandleFunc("DELETE /api/v1/jobs/{id}", byID(s.jobs, "job", s.handleCancel))
 	mux.HandleFunc("POST /api/v1/sessions", s.handleSessionOpen)
 	mux.HandleFunc("POST /api/v1/sessions/{id}/events", s.handleSessionAppend)
-	mux.HandleFunc("GET /api/v1/sessions/{id}", s.handleSessionStatus)
-	mux.HandleFunc("GET /api/v1/sessions/{id}/watch", s.handleSessionWatch)
-	mux.HandleFunc("POST /api/v1/sessions/{id}/close", s.handleSessionClose)
-	mux.HandleFunc("DELETE /api/v1/sessions/{id}", s.handleSessionAbort)
+	mux.HandleFunc("GET /api/v1/sessions/{id}", byID(s.sessions, "session", s.handleSessionStatus))
+	mux.HandleFunc("GET /api/v1/sessions/{id}/watch", byID(s.sessions, "session", s.handleSessionWatch))
+	mux.HandleFunc("POST /api/v1/sessions/{id}/close", byID(s.sessions, "session", s.handleSessionClose))
+	mux.HandleFunc("DELETE /api/v1/sessions/{id}", byID(s.sessions, "session", s.handleSessionAbort))
 	mux.HandleFunc("GET /api/v1/metrics", s.handleMetrics)
 	mux.HandleFunc("GET /healthz", s.handleHealth)
 	mux.Handle("GET /debug/vars", expvar.Handler())
 	return mux
 }
 
-// handleSubmit admits a job: resolve the tenant, charge its rate budget
-// (over-limit floods are turned away before their body is even parsed),
-// parse and fully validate the submission (bad input never reaches a
-// worker), then reserve a slot in the tenant's queue or fail fast.
+// byID resolves the {id} path value in reg before calling h, answering 404
+// for unknown ids.
+func byID[T lifecycled](reg *registry[T], what string, h func(http.ResponseWriter, *http.Request, T)) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		item, ok := reg.get(r.PathValue("id"))
+		if !ok {
+			writeError(w, http.StatusNotFound, "unknown "+what)
+			return
+		}
+		h(w, r, item)
+	}
+}
+
+// handleSubmit admits a job: the shared admission steps (over-limit floods
+// are turned away before their body is even parsed), full validation (bad
+// input never reaches a worker), then a slot in the tenant's queue or a fast
+// failure.
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
+	ten, ok := s.admit(w, r, nil)
+	if !ok {
+		return
+	}
+	spec, err := s.parseSubmit(r)
+	if err != nil {
+		writeError(w, bodyErrorCode(err), err.Error())
+		return
+	}
+	spec.tenant = ten
+	j, err := s.submit(r.Context(), spec)
+	if err != nil {
+		s.writePushError(w, err, "job queue full", "tenant queue full")
+		return
+	}
+	writeJSON(w, http.StatusAccepted, j.status())
+}
+
+// writePushError answers a failed dispatcher push: 429 with the server's
+// Retry-After estimate when the queue is full (tenantMsg when it is the
+// tenant's own lane), 503 while draining, 500 otherwise.
+func (s *Server) writePushError(w http.ResponseWriter, err error, fullMsg, tenantMsg string) {
+	switch {
+	case errors.Is(err, errTenantSaturated):
+		write429(w, ErrorResponse{Error: tenantMsg, Reason: ReasonQueueFull}, s.queueFullRetrySec())
+	case errors.Is(err, errSaturated):
+		write429(w, ErrorResponse{Error: fullMsg, Reason: ReasonQueueFull}, s.queueFullRetrySec())
+	case errors.Is(err, errDraining):
+		writeError(w, http.StatusServiceUnavailable, "server is draining")
+	default:
+		writeError(w, http.StatusInternalServerError, err.Error())
+	}
+}
+
+// admit runs the admission steps every work-creating request shares, and
+// answers the client itself when one refuses: the drain check (503); target,
+// when non-nil, which looks up the resource the request adds to and returns
+// its owner (writing its own rejection when it fails); the request's tenant
+// (400), held to that owner (403); the tenant's rate budget (429); and the
+// MaxUploadBytes body cap.
+func (s *Server) admit(w http.ResponseWriter, r *http.Request, target func() (owner string, ok bool)) (string, bool) {
 	if s.draining.Load() {
 		writeError(w, http.StatusServiceUnavailable, "server is draining")
-		return
+		return "", false
+	}
+	owner := ""
+	if target != nil {
+		var ok bool
+		if owner, ok = target(); !ok {
+			return "", false
+		}
 	}
 	ten, err := requestTenant(r)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err.Error())
-		return
+		return "", false
+	}
+	if owner != "" && ten != owner {
+		writeError(w, http.StatusForbidden, "session belongs to another tenant")
+		return "", false
 	}
 	now := time.Now()
 	if ok, retryAt := s.limiter.Allow(ten, now); !ok {
@@ -56,42 +121,30 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		// queue-full hint it is exact, not an estimate.
 		write429(w, ErrorResponse{Error: "rate limited", Reason: ReasonRateLimited},
 			tenant.RetryAfter(now, retryAt))
-		return
+		return "", false
 	}
 	r.Body = http.MaxBytesReader(w, r.Body, s.cfg.MaxUploadBytes)
-	spec, err := s.parseSubmit(r)
-	if err != nil {
-		code := http.StatusBadRequest
-		var maxErr *http.MaxBytesError
-		if errors.As(err, &maxErr) {
-			code = http.StatusRequestEntityTooLarge
-		}
-		writeError(w, code, err.Error())
-		return
+	return ten, true
+}
+
+// bodyErrorCode maps a request-body error to its status: 413 when the body
+// ran past the MaxUploadBytes cap, 400 for anything else.
+func bodyErrorCode(err error) int {
+	var maxErr *http.MaxBytesError
+	if errors.As(err, &maxErr) {
+		return http.StatusRequestEntityTooLarge
 	}
-	spec.tenant = ten
-	j, err := s.submit(r.Context(), spec)
-	switch {
-	case errors.Is(err, errSaturated):
-		msg := "job queue full"
-		if errors.Is(err, errTenantSaturated) {
-			msg = "tenant queue full"
-		}
-		retry := s.retryAfter()
-		sec := int(retry.Seconds() + 0.5)
-		if sec < 1 {
-			sec = 1
-		}
-		write429(w, ErrorResponse{Error: msg, Reason: ReasonQueueFull}, sec)
-		return
-	case errors.Is(err, errDraining):
-		writeError(w, http.StatusServiceUnavailable, "server is draining")
-		return
-	case err != nil:
-		writeError(w, http.StatusInternalServerError, err.Error())
-		return
+	return http.StatusBadRequest
+}
+
+// decodeJSON decodes a JSON request body into v, answering the client
+// itself (bodyErrorCode) when that fails.
+func decodeJSON(w http.ResponseWriter, r *http.Request, v any) bool {
+	if err := json.NewDecoder(r.Body).Decode(v); err != nil {
+		writeError(w, bodyErrorCode(err), "parsing request: "+err.Error())
+		return false
 	}
-	writeJSON(w, http.StatusAccepted, j.status())
+	return true
 }
 
 // write429 sends one rejection with its Retry-After both as a header and in
@@ -111,23 +164,13 @@ func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, resp)
 }
 
-func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
-	j, ok := s.jobs.get(r.PathValue("id"))
-	if !ok {
-		writeError(w, http.StatusNotFound, "unknown job")
-		return
-	}
+func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request, j *job) {
 	writeJSON(w, http.StatusOK, j.status())
 }
 
 // handleResult serves the terminal outcome. Non-terminal jobs answer 409 so
 // a poller can distinguish "not yet" from "gone wrong".
-func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
-	j, ok := s.jobs.get(r.PathValue("id"))
-	if !ok {
-		writeError(w, http.StatusNotFound, "unknown job")
-		return
-	}
+func (s *Server) handleResult(w http.ResponseWriter, r *http.Request, j *job) {
 	state, res, errMsg := j.snapshot()
 	switch state {
 	case StateDone:
@@ -152,12 +195,7 @@ func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
 // handleCancel delivers a cancellation. Cancelling an already-terminal job
 // is a no-op that still reports the job's status — cancellation is
 // idempotent from the client's side.
-func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
-	j, ok := s.jobs.get(r.PathValue("id"))
-	if !ok {
-		writeError(w, http.StatusNotFound, "unknown job")
-		return
-	}
+func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request, j *job) {
 	if j.requestCancel() {
 		s.canceled.Inc()
 		s.tenantStats(j.spec.tenant).canceled.Inc()
@@ -175,40 +213,22 @@ func (s *Server) queueFullRetrySec() int {
 	return sec
 }
 
-// handleSessionOpen admits a streaming session through the same gauntlet as a
-// job submission: drain check, tenant resolution, rate budget, body cap, full
-// validation — plus the live-session cap (sessions hold a writer goroutine
-// for their whole lifetime, so they are bounded separately from jobs).
+// handleSessionOpen admits a streaming session through the same admission
+// steps and full validation as a job submission — plus the live-session cap
+// (sessions hold a writer goroutine for their whole lifetime, so they are
+// bounded separately from jobs).
 func (s *Server) handleSessionOpen(w http.ResponseWriter, r *http.Request) {
-	if s.draining.Load() {
-		writeError(w, http.StatusServiceUnavailable, "server is draining")
+	ten, ok := s.admit(w, r, nil)
+	if !ok {
 		return
 	}
-	ten, err := requestTenant(r)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err.Error())
-		return
-	}
-	now := time.Now()
-	if ok, retryAt := s.limiter.Allow(ten, now); !ok {
-		s.rateLimited.Inc()
-		s.tenantStats(ten).rejectedRate.Inc()
-		write429(w, ErrorResponse{Error: "rate limited", Reason: ReasonRateLimited},
-			tenant.RetryAfter(now, retryAt))
-		return
-	}
-	r.Body = http.MaxBytesReader(w, r.Body, s.cfg.MaxUploadBytes)
 	var req OpenSessionRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		code := http.StatusBadRequest
-		var maxErr *http.MaxBytesError
-		if errors.As(err, &maxErr) {
-			code = http.StatusRequestEntityTooLarge
-		}
-		writeError(w, code, "parsing request: "+err.Error())
+	if !decodeJSON(w, r, &req) {
 		return
 	}
-	if s.sessions.live() >= s.cfg.MaxSessions {
+	// Reserve the live slot before the build, so concurrent opens cannot
+	// all pass the check and overshoot MaxSessions.
+	if !s.sessions.reserve(s.cfg.MaxSessions) {
 		s.sessRejected.Inc()
 		write429(w, ErrorResponse{Error: "session limit reached", Reason: ReasonQueueFull},
 			s.queueFullRetrySec())
@@ -226,41 +246,19 @@ func (s *Server) handleSessionOpen(w http.ResponseWriter, r *http.Request) {
 // per session: a client more than SessionBacklog traces ahead of the last
 // published mapping gets 429 until the matcher catches up.
 func (s *Server) handleSessionAppend(w http.ResponseWriter, r *http.Request) {
-	if s.draining.Load() {
-		writeError(w, http.StatusServiceUnavailable, "server is draining")
-		return
-	}
-	ss, ok := s.sessions.get(r.PathValue("id"))
-	if !ok {
-		writeError(w, http.StatusNotFound, "unknown session")
-		return
-	}
-	ten, err := requestTenant(r)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err.Error())
-		return
-	}
-	if ten != ss.spec.tenant {
-		writeError(w, http.StatusForbidden, "session belongs to another tenant")
-		return
-	}
-	now := time.Now()
-	if ok, retryAt := s.limiter.Allow(ten, now); !ok {
-		s.rateLimited.Inc()
-		s.tenantStats(ten).rejectedRate.Inc()
-		write429(w, ErrorResponse{Error: "rate limited", Reason: ReasonRateLimited},
-			tenant.RetryAfter(now, retryAt))
-		return
-	}
-	r.Body = http.MaxBytesReader(w, r.Body, s.cfg.MaxUploadBytes)
-	var req SessionAppendRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		code := http.StatusBadRequest
-		var maxErr *http.MaxBytesError
-		if errors.As(err, &maxErr) {
-			code = http.StatusRequestEntityTooLarge
+	var ss *streamSession
+	if _, ok := s.admit(w, r, func() (string, bool) {
+		var found bool
+		if ss, found = s.sessions.get(r.PathValue("id")); !found {
+			writeError(w, http.StatusNotFound, "unknown session")
+			return "", false
 		}
-		writeError(w, code, "parsing request: "+err.Error())
+		return ss.spec.tenant, true
+	}); !ok {
+		return
+	}
+	var req SessionAppendRequest
+	if !decodeJSON(w, r, &req) {
 		return
 	}
 	traces, err := parseSessionTraces(req.Traces)
@@ -272,46 +270,26 @@ func (s *Server) handleSessionAppend(w http.ResponseWriter, r *http.Request) {
 	switch {
 	case errors.Is(err, errSessionClosing):
 		writeError(w, http.StatusConflict, "session is closing; no further appends")
-		return
 	case errors.Is(err, errSessionTerminal):
 		writeError(w, http.StatusGone, "session is terminal")
-		return
-	case errors.Is(err, errSaturated):
-		s.sessRejected.Inc()
-		msg := "session backlog full"
-		if errors.Is(err, errTenantSaturated) {
-			msg = "tenant append queue full"
-		}
-		write429(w, ErrorResponse{Error: msg, Reason: ReasonQueueFull}, s.queueFullRetrySec())
-		return
-	case errors.Is(err, errDraining):
-		writeError(w, http.StatusServiceUnavailable, "server is draining")
-		return
 	case err != nil:
-		writeError(w, http.StatusInternalServerError, err.Error())
-		return
+		if errors.Is(err, errSaturated) {
+			s.sessRejected.Inc()
+		}
+		s.writePushError(w, err, "session backlog full", "tenant append queue full")
+	default:
+		writeJSON(w, http.StatusAccepted, SessionAppendResponse{Accepted: accepted})
 	}
-	writeJSON(w, http.StatusAccepted, SessionAppendResponse{Accepted: accepted})
 }
 
-func (s *Server) handleSessionStatus(w http.ResponseWriter, r *http.Request) {
-	ss, ok := s.sessions.get(r.PathValue("id"))
-	if !ok {
-		writeError(w, http.StatusNotFound, "unknown session")
-		return
-	}
+func (s *Server) handleSessionStatus(w http.ResponseWriter, r *http.Request, ss *streamSession) {
 	writeJSON(w, http.StatusOK, ss.status())
 }
 
 // handleSessionWatch streams mapping updates as JSON lines until the session
 // ends or the client disconnects. The latest update is replayed first, so a
 // new watcher starts from the current state.
-func (s *Server) handleSessionWatch(w http.ResponseWriter, r *http.Request) {
-	ss, ok := s.sessions.get(r.PathValue("id"))
-	if !ok {
-		writeError(w, http.StatusNotFound, "unknown session")
-		return
-	}
+func (s *Server) handleSessionWatch(w http.ResponseWriter, r *http.Request, ss *streamSession) {
 	fl, canFlush := w.(http.Flusher)
 	if !canFlush {
 		writeError(w, http.StatusInternalServerError, "streaming unsupported")
@@ -345,14 +323,13 @@ func (s *Server) handleSessionWatch(w http.ResponseWriter, r *http.Request) {
 // context) for the terminal state: 200 with the final status when the drain
 // finished in time, 202 when it is still converging — poll the status
 // endpoint for the final mapping.
-func (s *Server) handleSessionClose(w http.ResponseWriter, r *http.Request) {
-	ss, ok := s.sessions.get(r.PathValue("id"))
-	if !ok {
-		writeError(w, http.StatusNotFound, "unknown session")
-		return
-	}
+func (s *Server) handleSessionClose(w http.ResponseWriter, r *http.Request, ss *streamSession) {
 	s.closeSession(ss)
-	st := s.waitSessionTerminal(r.Context(), ss)
+	select {
+	case <-ss.ended:
+	case <-r.Context().Done():
+	}
+	st := ss.status()
 	code := http.StatusOK
 	if !st.State.Terminal() {
 		code = http.StatusAccepted
@@ -362,12 +339,7 @@ func (s *Server) handleSessionClose(w http.ResponseWriter, r *http.Request) {
 
 // handleSessionAbort terminates a session immediately; idempotent like job
 // cancellation — aborting a terminal session just reports its status.
-func (s *Server) handleSessionAbort(w http.ResponseWriter, r *http.Request) {
-	ss, ok := s.sessions.get(r.PathValue("id"))
-	if !ok {
-		writeError(w, http.StatusNotFound, "unknown session")
-		return
-	}
+func (s *Server) handleSessionAbort(w http.ResponseWriter, r *http.Request, ss *streamSession) {
 	s.abortSession(ss, true)
 	writeJSON(w, http.StatusOK, ss.status())
 }

@@ -2,7 +2,6 @@ package server
 
 import (
 	"context"
-	"fmt"
 	"sync"
 	"time"
 
@@ -13,31 +12,45 @@ import (
 	"eventmatch"
 )
 
+// fixedSpec is the validated side jobs and sessions share: the algorithm,
+// the source log, the patterns and the per-search deadline. Sessions run on
+// it alone; jobs add the target log and their budgets.
+type fixedSpec struct {
+	algorithm eventmatch.Algorithm
+	algoName  string
+
+	// tenant is the normalized, validated tenant identity the request
+	// arrived under. It selects the fair-queue lane, the rate-limit bucket
+	// and the telemetry rollup, and it is journaled so a recovered job or
+	// session stays with its own tenant.
+	tenant string
+
+	l1   *event.Log
+	h1   string // content key of the source log artifact
+	fmt1 string
+
+	patterns []string
+	bound    []*eventmatch.Pattern // patterns bound to l1; nil when the algorithm takes none
+	lenient  bool
+	timeout  time.Duration
+}
+
 // jobSpec is the fully validated, immutable description of one admitted job.
 // All request parsing and validation happens at submit time, so a worker can
 // run a spec without producing a user-error.
 type jobSpec struct {
-	algorithm eventmatch.Algorithm
-	algoName  string
+	fixedSpec
 
-	// tenant is the normalized, validated tenant identity the submission
-	// arrived under. It selects the job's fair-queue lane, its rate-limit
-	// bucket and its telemetry rollup, and it is journaled so a recovered
-	// job re-enters its own tenant's queue.
-	tenant string
-
-	l1, l2 *event.Log
-	h1, h2 string // content hashes, for problem-cache keys
+	l2 *event.Log
+	h2 string // content hash of the target log, for problem-cache keys
 
 	rep1, rep2 logio.ReadReport
 
-	// fmt1/fmt2 are the resolved log formats and lenient the ingestion mode —
-	// together with the content hashes they make the spec re-runnable from
-	// the artifact store after a crash.
-	fmt1, fmt2 string
-	lenient    bool
+	// fmt2 is the target log's resolved format — together with the content
+	// hashes and the lenient flag it makes the spec re-runnable from the
+	// artifact store after a crash.
+	fmt2 string
 
-	patterns   []string
 	truth      match.Mapping     // nil when no ground truth was submitted
 	truthNames map[string]string // the name-level truth as submitted
 
@@ -46,7 +59,6 @@ type jobSpec struct {
 	// what was already reported as progress.
 	seed match.Mapping
 
-	timeout      time.Duration
 	maxGenerated int
 	maxFrontier  int
 	workers      int
@@ -179,94 +191,18 @@ func (j *job) status() JobStatus {
 	return s
 }
 
+func (j *job) setID(id string) { j.id = id }
+
+// terminal reports whether the job reached a final state (registry eviction).
+func (j *job) terminal() bool {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	return j.state.Terminal()
+}
+
 // snapshot returns the terminal state and result for the result endpoint.
 func (j *job) snapshot() (JobState, *JobResult, string) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	return j.state, j.result, j.errMsg
-}
-
-// jobStore holds every known job in insertion order, evicting the oldest
-// terminal jobs once the store exceeds its cap. Running and queued jobs are
-// never evicted.
-type jobStore struct {
-	mu    sync.Mutex
-	max   int
-	next  int
-	byID  map[string]*job
-	order []*job
-}
-
-func newJobStore(max int) *jobStore {
-	return &jobStore{max: max, byID: make(map[string]*job)}
-}
-
-// add registers a new job under a fresh id and evicts old terminal jobs
-// beyond the cap.
-func (s *jobStore) add(j *job) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.next++
-	j.id = fmt.Sprintf("j%d", s.next)
-	s.byID[j.id] = j
-	s.order = append(s.order, j)
-	if over := len(s.order) - s.max; over > 0 {
-		kept := s.order[:0]
-		for _, old := range s.order {
-			if over > 0 && old != j {
-				//matchlint:ignore lockheld -- jobStore.mu → job.mu is the module's lock order; lockorder verifies no path inverts it
-				old.mu.Lock()
-				terminal := old.state.Terminal()
-				old.mu.Unlock()
-				if terminal {
-					delete(s.byID, old.id)
-					over--
-					continue
-				}
-			}
-			kept = append(kept, old)
-		}
-		s.order = kept
-	}
-}
-
-// addRecovered registers a replayed job under its journaled id, keeping the
-// id sequence ahead of every recovered id so new submissions never collide.
-func (s *jobStore) addRecovered(j *job, id string) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	j.id = id
-	s.byID[id] = j
-	s.order = append(s.order, j)
-}
-
-// bumpSeq raises the id sequence to at least n (the journal's max job seq).
-func (s *jobStore) bumpSeq(n int) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if n > s.next {
-		s.next = n
-	}
-}
-
-// get looks a job up by id.
-func (s *jobStore) get(id string) (*job, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	j, ok := s.byID[id]
-	return j, ok
-}
-
-// all returns the stored jobs in insertion order.
-func (s *jobStore) all() []*job {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return append([]*job(nil), s.order...)
-}
-
-// len reports the stored job count (a telemetry func gauge reads it).
-func (s *jobStore) len() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.order)
 }

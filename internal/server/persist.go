@@ -5,10 +5,8 @@ import (
 	"encoding/json"
 	"fmt"
 	"strings"
-	"sync"
 	"time"
 
-	"eventmatch/internal/event"
 	"eventmatch/internal/match"
 	"eventmatch/internal/server/store"
 	"eventmatch/internal/server/tenant"
@@ -30,7 +28,13 @@ func (s *Server) persistLogArtifact(key string, data []byte) {
 	if s.store == nil {
 		return
 	}
-	if err := s.store.PutArtifact(s.persistCtx, key, data); err != nil {
+	s.persisted(s.store.PutArtifact(s.persistCtx, key, data))
+}
+
+// persisted counts a failed durability write; the in-memory lifecycle goes
+// on regardless.
+func (s *Server) persisted(err error) {
+	if err != nil {
 		s.persistErrs.Inc()
 	}
 }
@@ -56,9 +60,7 @@ func (s *Server) persistSubmit(ctx context.Context, j *job) {
 		Lenient:         spec.lenient,
 		CreatedUnixNano: j.created.UnixNano(),
 	}
-	if err := s.store.AppendSubmit(ctx, j.id, rec, time.Now().UnixNano()); err != nil {
-		s.persistErrs.Inc()
-	}
+	s.persisted(s.store.AppendSubmit(ctx, j.id, rec, time.Now().UnixNano()))
 }
 
 // statePersister returns the job's persist hook: it journals one lifecycle
@@ -70,9 +72,7 @@ func (s *Server) statePersister(id string) func(state JobState, errMsg string) {
 		return nil
 	}
 	return func(state JobState, errMsg string) {
-		if err := s.store.AppendState(s.persistCtx, id, string(state), errMsg, time.Now().UnixNano()); err != nil {
-			s.persistErrs.Inc()
-		}
+		s.persisted(s.store.AppendState(s.persistCtx, id, string(state), errMsg, time.Now().UnixNano()))
 	}
 }
 
@@ -93,9 +93,7 @@ func (s *Server) persistResult(j *job, res *JobResult) {
 		s.persistErrs.Inc()
 		return
 	}
-	if err := s.store.AppendResult(s.persistCtx, j.id, hash, time.Now().UnixNano()); err != nil {
-		s.persistErrs.Inc()
-	}
+	s.persisted(s.store.AppendResult(s.persistCtx, j.id, hash, time.Now().UnixNano()))
 }
 
 // persistSessionOpen journals a freshly opened session's fixed side. The
@@ -113,9 +111,7 @@ func (s *Server) persistSessionOpen(ctx context.Context, ss *streamSession) {
 		Lenient:         ss.spec.lenient,
 		CreatedUnixNano: ss.created.UnixNano(),
 	}
-	if err := s.store.AppendSessionOpen(ctx, ss.id, rec, time.Now().UnixNano()); err != nil {
-		s.persistErrs.Inc()
-	}
+	s.persisted(s.store.AppendSessionOpen(ctx, ss.id, rec, time.Now().UnixNano()))
 }
 
 // persistSessionDelta journals one admitted chunk. Called under the session
@@ -125,9 +121,7 @@ func (s *Server) persistSessionDelta(ss *streamSession, traces [][]string) {
 	if s.store == nil {
 		return
 	}
-	if err := s.store.AppendSessionDelta(s.persistCtx, ss.id, sessionTraceLines(traces), time.Now().UnixNano()); err != nil {
-		s.persistErrs.Inc()
-	}
+	s.persisted(s.store.AppendSessionDelta(s.persistCtx, ss.id, sessionTraceLines(traces), time.Now().UnixNano()))
 }
 
 // persistSessionClose journals a session's terminal state; clean closes carry
@@ -144,9 +138,7 @@ func (s *Server) persistSessionClose(ss *streamSession, state string) {
 			Score:    ss.last.Score,
 		}
 	}
-	if err := s.store.AppendSessionClose(s.persistCtx, ss.id, state, final, time.Now().UnixNano()); err != nil {
-		s.persistErrs.Inc()
-	}
+	s.persisted(s.store.AppendSessionClose(s.persistCtx, ss.id, state, final, time.Now().UnixNano()))
 }
 
 // ckptMsg is one checkpoint on its way to the journal.
@@ -188,9 +180,7 @@ func (s *Server) checkpointHook(j *job) func(match.Checkpoint) {
 func (s *Server) checkpointWriter() {
 	defer close(s.ckptdone)
 	for msg := range s.ckptCh {
-		if err := s.store.AppendCheckpoint(s.persistCtx, msg.jobID, msg.rec, time.Now().UnixNano()); err != nil {
-			s.persistErrs.Inc()
-		}
+		s.persisted(s.store.AppendCheckpoint(s.persistCtx, msg.jobID, msg.rec, time.Now().UnixNano()))
 	}
 }
 
@@ -255,63 +245,49 @@ func (s *Server) Recover(rec *store.Recovery) RecoverySummary {
 // which coalesces them into one re-search and converges to the same mapping
 // as the pre-crash session.
 func (s *Server) recoverSession(rs *store.RecoveredSession, sum *RecoverySummary) {
-	created := time.Now()
-	if rs.Spec.CreatedUnixNano > 0 {
-		created = time.Unix(0, rs.Spec.CreatedUnixNano)
-	}
-	total := 0
-	for _, d := range rs.Deltas {
-		total += len(d)
-	}
-
-	if rs.Terminal() {
-		ss := &streamSession{
-			spec: sessionSpec{
-				algoName: rs.Spec.Algorithm,
-				tenant:   tenant.Normalize(rs.Spec.Tenant),
-			},
-			created:  created,
-			state:    SessionState(rs.State),
-			accepted: total,
-			watchers: make(map[int]chan SessionUpdate),
+	created := createdAt(rs.Spec.CreatedUnixNano)
+	var replayed [][]string
+	for _, chunk := range rs.Deltas {
+		for _, line := range chunk {
+			replayed = append(replayed, strings.Fields(line))
 		}
-		ss.cond = sync.NewCond(&ss.mu)
+	}
+	total := len(replayed)
+
+	// Terminal and unrecoverable sessions come back status-only, without a core.
+	restore := func(state SessionState, last *SessionUpdate, errMsg string) {
+		ss := newStreamSession(fixedSpec{algoName: rs.Spec.Algorithm, tenant: tenant.Normalize(rs.Spec.Tenant)},
+			created, state, total)
+		ss.last, ss.errMsg = last, errMsg
+		s.sessions.addRecovered(ss, rs.ID)
+	}
+	if rs.Terminal() {
+		var last *SessionUpdate
 		if rs.Final != nil {
-			ss.last = &SessionUpdate{
+			last = &SessionUpdate{
 				Revision: rs.Final.Revision,
 				Pairs:    rs.Final.Pairs,
 				Score:    rs.Final.Score,
 				Final:    true,
 			}
 		}
-		s.sessions.addRecovered(ss, rs.ID)
+		restore(SessionState(rs.State), last, "")
 		return
 	}
 
 	failTerminal := func(msg string) {
-		ss := &streamSession{
-			spec:     sessionSpec{algoName: rs.Spec.Algorithm, tenant: tenant.Normalize(rs.Spec.Tenant)},
-			created:  created,
-			state:    SessionAborted,
-			accepted: total,
-			errMsg:   msg,
-			watchers: make(map[int]chan SessionUpdate),
-		}
-		ss.cond = sync.NewCond(&ss.mu)
-		s.sessions.addRecovered(ss, rs.ID)
+		restore(SessionAborted, nil, msg)
 		// The verdict must survive the next restart too.
-		if err := s.store.AppendSessionClose(s.persistCtx, rs.ID, string(SessionAborted), nil, time.Now().UnixNano()); err != nil {
-			s.persistErrs.Inc()
-		}
+		s.persisted(s.store.AppendSessionClose(s.persistCtx, rs.ID, string(SessionAborted), nil, time.Now().UnixNano()))
 	}
 
-	raw, err := s.store.Artifact(s.persistCtx, rs.Spec.Log1.Key)
+	log1, err := s.storedLog("log1", rs.Spec.Log1)
 	if err != nil {
-		failTerminal(fmt.Sprintf("recovery: log1 artifact %s lost: %v", rs.Spec.Log1.Key, err))
+		failTerminal(fmt.Sprintf("recovery: %v", err))
 		return
 	}
 	spec, err := s.buildSessionSpec(OpenSessionRequest{
-		Log1:      LogPayload{Format: rs.Spec.Log1.Format, Data: string(raw)},
+		Log1:      log1,
 		Patterns:  rs.Spec.Patterns,
 		Algorithm: rs.Spec.Algorithm,
 		TimeoutMS: rs.Spec.TimeoutMS,
@@ -329,17 +305,10 @@ func (s *Server) recoverSession(rs *store.RecoveredSession, sum *RecoverySummary
 	if total > maxPending {
 		maxPending = total
 	}
-	ss, err := s.startSession(spec, event.NewLog(), total, maxPending)
+	ss, err := s.startSession(spec, created, total, maxPending)
 	if err != nil {
 		failTerminal(fmt.Sprintf("recovery: %v", err))
 		return
-	}
-	ss.created = created
-	var replayed [][]string
-	for _, chunk := range rs.Deltas {
-		for _, line := range chunk {
-			replayed = append(replayed, strings.Fields(line))
-		}
 	}
 	if len(replayed) > 0 {
 		if _, err := ss.core.Append(replayed...); err != nil {
@@ -356,32 +325,22 @@ func (s *Server) recoverSession(rs *store.RecoveredSession, sum *RecoverySummary
 // still needs to run. Terminal jobs are reconstructed in place; interrupted
 // ones get their spec rebuilt from the stored artifacts.
 func (s *Server) recoverJob(rj *store.RecoveredJob, sum *RecoverySummary) (j *job, enqueue bool) {
-	created := time.Now()
-	if rj.Spec.CreatedUnixNano > 0 {
-		created = time.Unix(0, rj.Spec.CreatedUnixNano)
-	}
-	ctx, cancel := context.WithCancel(s.baseCtx)
-	j = &job{
-		spec: jobSpec{
-			algoName: rj.Spec.Algorithm,
-			tenant:   tenant.Normalize(rj.Spec.Tenant),
-		},
-		created: created,
-		ctx:     ctx,
-		cancel:  cancel,
-	}
+	j = s.newJob(jobSpec{fixedSpec: fixedSpec{
+		algoName: rj.Spec.Algorithm,
+		tenant:   tenant.Normalize(rj.Spec.Tenant),
+	}}, createdAt(rj.Spec.CreatedUnixNano))
 
+	settle := func(state JobState, res *JobResult, msg string) (*job, bool) {
+		j.cancel()
+		j.state, j.result, j.errMsg = state, res, msg
+		j.finished = time.Now()
+		return j, false
+	}
 	fail := func(msg string) (*job, bool) {
 		sum.Failed++
-		cancel()
-		j.state = StateFailed
-		j.errMsg = msg
-		j.finished = time.Now()
 		// The in-memory verdict must survive the next restart too.
-		if err := s.store.AppendState(s.persistCtx, rj.ID, string(StateFailed), msg, time.Now().UnixNano()); err != nil {
-			s.persistErrs.Inc()
-		}
-		return j, false
+		s.persisted(s.store.AppendState(s.persistCtx, rj.ID, string(StateFailed), msg, time.Now().UnixNano()))
+		return settle(StateFailed, nil, msg)
 	}
 
 	// A stored result proves completion no matter what the last state record
@@ -396,20 +355,12 @@ func (s *Server) recoverJob(rj *store.RecoveredJob, sum *RecoverySummary) (j *jo
 			return fail(fmt.Sprintf("recovery: result artifact %s unreadable: %v", rj.ResultHash, err))
 		}
 		sum.Results++
-		cancel()
-		j.state = StateDone
-		j.result = &res
-		j.finished = time.Now()
-		return j, false
+		return settle(StateDone, &res, "")
 	}
 
 	switch JobState(rj.State) {
 	case StateFailed, StateCanceled:
-		cancel()
-		j.state = JobState(rj.State)
-		j.errMsg = rj.Error
-		j.finished = time.Now()
-		return j, false
+		return settle(JobState(rj.State), nil, rj.Error)
 	case StateDone:
 		// Done without a result record should be impossible under the
 		// write-ahead ordering; treat a journal that claims it as lossy.
@@ -423,7 +374,6 @@ func (s *Server) recoverJob(rj *store.RecoveredJob, sum *RecoverySummary) (j *jo
 		return fail(fmt.Sprintf("recovery: %v", err))
 	}
 	j.spec = spec
-	j.state = StateQueued
 	sum.Requeued++
 	return j, true
 }
@@ -433,17 +383,17 @@ func (s *Server) recoverJob(rj *store.RecoveredJob, sum *RecoverySummary) (j *jo
 // validation path as a fresh submission, and the checkpoint (if any) is
 // resolved to an id-level seed mapping.
 func (s *Server) rebuildSpec(rj *store.RecoveredJob) (jobSpec, error) {
-	log1, err := s.store.Artifact(s.persistCtx, rj.Spec.Log1.Key)
+	log1, err := s.storedLog("log1", rj.Spec.Log1)
 	if err != nil {
-		return jobSpec{}, fmt.Errorf("log1 artifact %s: %w", rj.Spec.Log1.Key, err)
+		return jobSpec{}, err
 	}
-	log2, err := s.store.Artifact(s.persistCtx, rj.Spec.Log2.Key)
+	log2, err := s.storedLog("log2", rj.Spec.Log2)
 	if err != nil {
-		return jobSpec{}, fmt.Errorf("log2 artifact %s: %w", rj.Spec.Log2.Key, err)
+		return jobSpec{}, err
 	}
 	spec, err := s.buildSpec(SubmitRequest{
-		Log1:         LogPayload{Format: rj.Spec.Log1.Format, Data: string(log1)},
-		Log2:         LogPayload{Format: rj.Spec.Log2.Format, Data: string(log2)},
+		Log1:         log1,
+		Log2:         log2,
 		Patterns:     rj.Spec.Patterns,
 		Truth:        rj.Spec.Truth,
 		Algorithm:    rj.Spec.Algorithm,
@@ -461,39 +411,40 @@ func (s *Server) rebuildSpec(rj *store.RecoveredJob) (jobSpec, error) {
 	// (pre-tenancy journals recover as the default tenant).
 	spec.tenant = tenant.Normalize(rj.Spec.Tenant)
 	if rj.Checkpoint != nil {
-		spec.seed = resolveSeed(rj.Checkpoint.Pairs, spec.l1, spec.l2)
+		// Unlike a ground truth, a seed is best-effort: names that no longer
+		// resolve are skipped, and a seed that comes out non-injective is
+		// simply ignored by the search (match.Options.Seed validates it).
+		spec.seed, _ = resolvePairs(rj.Checkpoint.Pairs, spec.l1, spec.l2)
 	}
 	return spec, nil
 }
 
-// resolveSeed maps a checkpoint's name pairs back onto event ids. Unlike a
-// ground truth, a seed is best-effort: names that no longer resolve are
-// skipped, and a seed that comes out non-injective is simply ignored by the
-// search (match.Options.Seed validates before flooring).
-func resolveSeed(pairs map[string]string, l1, l2 *event.Log) match.Mapping {
-	if len(pairs) == 0 {
-		return nil
+// createdAt restores a journaled creation time; records written without one
+// count as created now.
+func createdAt(unixNano int64) time.Time {
+	if unixNano > 0 {
+		return time.Unix(0, unixNano)
 	}
-	m := match.NewMapping(l1.NumEvents())
-	for n1, n2 := range pairs {
-		v1 := l1.Alphabet.Lookup(n1)
-		v2 := l2.Alphabet.Lookup(n2)
-		if v1 == event.None || v2 == event.None {
-			continue
-		}
-		m[v1] = v2
-	}
-	return m
+	return time.Now()
 }
 
-// feedRecovered re-enqueues recovered jobs. pool.submit is non-blocking, so
+// storedLog reads a journaled log reference back from the artifact store.
+func (s *Server) storedLog(name string, ref store.LogRef) (LogPayload, error) {
+	raw, err := s.store.Artifact(s.persistCtx, ref.Key)
+	if err != nil {
+		return LogPayload{}, fmt.Errorf("%s artifact %s lost: %w", name, ref.Key, err)
+	}
+	return LogPayload{Format: ref.Format, Data: string(raw)}, nil
+}
+
+// feedRecovered re-enqueues recovered jobs. jobQueue.push is non-blocking, so
 // a recovery larger than the queue feeds in as workers free slots; if the
 // server starts draining first, the leftovers stay journaled as queued and
 // simply recover again on the next boot.
 func (s *Server) feedRecovered(jobs []*job) {
 	for _, j := range jobs {
 		for {
-			err := s.pool.submit(j)
+			err := s.jobQueue.push(j.spec.tenant, j)
 			if err == nil {
 				s.submitted.Inc()
 				s.tenantStats(j.spec.tenant).submitted.Inc()

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"context"
 	"time"
 
 	"eventmatch/internal/event"
@@ -11,10 +12,15 @@ import (
 	"eventmatch"
 )
 
-// runJob executes one admitted job on a pool worker. Every user-facing
+// runJob executes one admitted job on a jobQueue worker. Every user-facing
 // validation already happened at submit time, so errors here are engine
 // errors and land the job in StateFailed.
 func (s *Server) runJob(j *job) {
+	if !j.start() { // canceled while queued
+		return
+	}
+	s.jobsRunning.Add(1)
+	defer s.jobsRunning.Add(-1)
 	ts := s.tenantStats(j.spec.tenant)
 	// j.started was written by j.start() on this same goroutine. The wait
 	// observation lands in the global timer and the tenant's own — the
@@ -67,17 +73,15 @@ func (s *Server) execute(j *job) (*JobResult, error) {
 		return s.buildResult(j, r.Mapping, r.Stats), nil
 	}
 
-	mode := match.ModePattern
-	if spec.algorithm == eventmatch.AlgoVertexEdge {
-		mode = match.ModeVertexEdge
-	}
-	pr, err := s.prs.get(problemKey(spec.h1, spec.h2, mode, spec.patterns),
-		spec.l1, spec.l2, spec.patterns, mode)
+	mode, bound, search := searchFor(spec.algorithm)
+	pr, err := s.prs.get(problemKey(spec.h1, spec.h2, mode, spec.patterns), func() (*match.Problem, error) {
+		return match.BuildProblem(spec.l1, spec.l2, spec.bound, mode)
+	})
 	if err != nil {
 		return nil, err
 	}
-	opts := match.Options{
-		Bound:         match.BoundSharp,
+	m, st, err := search(pr, j.ctx, match.Options{
+		Bound:         bound,
 		MaxDuration:   spec.timeout,
 		MaxGenerated:  spec.maxGenerated,
 		MaxFrontier:   spec.maxFrontier,
@@ -90,28 +94,27 @@ func (s *Server) execute(j *job) (*JobResult, error) {
 		Checkpoint:      s.checkpointHook(j),
 		CheckpointEvery: s.cfg.CheckpointEvery,
 		Seed:            spec.seed,
-	}
-	var (
-		m  match.Mapping
-		st match.Stats
-	)
-	switch spec.algorithm {
-	case eventmatch.AlgoExact, eventmatch.AlgoVertexEdge:
-		m, st, err = pr.AStarContext(j.ctx, opts)
-	case eventmatch.AlgoExactSimpleBound:
-		opts.Bound = match.BoundSimple
-		m, st, err = pr.AStarContext(j.ctx, opts)
-	case eventmatch.AlgoHeuristicSimple:
-		opts.Bound = match.BoundSimple
-		m, st, err = pr.GreedyExpandContext(j.ctx, opts)
-	default: // AlgoHeuristicAdvanced
-		opts.Bound = match.BoundSimple
-		m, st, err = pr.HeuristicAdvancedContext(j.ctx, opts)
-	}
+	})
 	if err != nil {
 		return nil, err
 	}
 	return s.buildResult(j, m, st), nil
+}
+
+// searchFor resolves a problem-based algorithm to its matching mode, bound
+// and search entry point. Jobs and sessions dispatch through it alike.
+func searchFor(algo eventmatch.Algorithm) (match.Mode, match.BoundKind, func(*match.Problem, context.Context, match.Options) (match.Mapping, match.Stats, error)) {
+	switch algo {
+	case eventmatch.AlgoExact:
+		return match.ModePattern, match.BoundSharp, (*match.Problem).AStarContext
+	case eventmatch.AlgoVertexEdge:
+		return match.ModeVertexEdge, match.BoundSharp, (*match.Problem).AStarContext
+	case eventmatch.AlgoExactSimpleBound:
+		return match.ModePattern, match.BoundSimple, (*match.Problem).AStarContext
+	case eventmatch.AlgoHeuristicSimple:
+		return match.ModePattern, match.BoundSimple, (*match.Problem).GreedyExpandContext
+	}
+	return match.ModePattern, match.BoundSimple, (*match.Problem).HeuristicAdvancedContext
 }
 
 // buildResult assembles the wire result from an id-level mapping and the

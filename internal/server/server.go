@@ -6,6 +6,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"eventmatch/internal/match"
 	"eventmatch/internal/server/store"
 	"eventmatch/internal/server/tenant"
 	"eventmatch/internal/telemetry"
@@ -79,10 +80,6 @@ type Config struct {
 	// with 429 until the matcher catches up. Default 256.
 	SessionBacklog int
 
-	// SessionWorkers is the dispatcher pool draining the fair append queue
-	// into session cores. Default 2.
-	SessionWorkers int
-
 	// Store, when non-nil, makes the job lifecycle durable: submissions,
 	// state transitions, periodic search checkpoints and results are
 	// journaled (write-ahead, fsync'd) and uploaded logs are kept as
@@ -138,14 +135,16 @@ func (c Config) withDefaults() Config {
 	if c.SessionBacklog <= 0 {
 		c.SessionBacklog = 256
 	}
-	if c.SessionWorkers <= 0 {
-		c.SessionWorkers = 2
-	}
 	if c.Telemetry == nil {
 		c.Telemetry = telemetry.NewRegistry()
 	}
 	return c
 }
+
+// sessionWorkers is the worker count of the dispatcher that hands admitted
+// session appends to their cores. Appends are cheap (the core only enqueues),
+// so two workers keep one slow session from delaying the rest.
+const sessionWorkers = 2
 
 // Server is the matching daemon: an admission-controlled job queue over the
 // anytime matching pipeline. Create with New, mount Handler on an
@@ -153,15 +152,18 @@ func (c Config) withDefaults() Config {
 type Server struct {
 	cfg  Config
 	reg  *telemetry.Registry
-	jobs *jobStore
-	pool *pool
-	logs *logCache
-	prs  *problemCache
+	logs *onceCache[parsedLog]
+	prs  *onceCache[*match.Problem]
 
-	// sessions holds the streaming sessions; sessSched is the weighted-fair
-	// admission path their appends flow through.
-	sessions  *sessionStore
-	sessSched *sessionSched
+	// jobs and sessions hold the two resource kinds. jobQueue runs admitted
+	// jobs; appendQueue hands admitted session appends to their cores. Both
+	// are weighted-fair dispatchers, kept apart so a long search never
+	// delays an append.
+	jobs        *registry[*job]
+	sessions    *registry[*streamSession]
+	jobQueue    *dispatcher[*job]
+	appendQueue *dispatcher[sessAppend]
+	jobsRunning atomic.Int64 // jobs currently executing (telemetry gauge)
 
 	// limiter is the per-tenant multi-window rate limiter; nil when no
 	// TenantRates were configured (every submission admitted).
@@ -213,14 +215,14 @@ func New(cfg Config) *Server {
 	s := &Server{
 		cfg:  cfg,
 		reg:  cfg.Telemetry,
-		jobs: newJobStore(cfg.MaxStoredJobs),
-		logs: newLogCache(cfg.MaxCachedLogs, cfg.Telemetry),
-		prs:  newProblemCache(cfg.MaxCachedProblems, cfg.Telemetry),
+		jobs: newRegistry[*job]("j", cfg.MaxStoredJobs),
+		logs: newOnceCache[parsedLog]("logcache", cfg.MaxCachedLogs, cfg.Telemetry),
+		prs:  newOnceCache[*match.Problem]("problemcache", cfg.MaxCachedProblems, cfg.Telemetry),
 
 		limiter: tenant.NewLimiter(cfg.TenantRates),
 		tenants: make(map[string]*tenantStats),
 
-		sessions: newSessionStore(cfg.MaxStoredJobs),
+		sessions: newRegistry[*streamSession]("s", cfg.MaxStoredJobs),
 
 		sessOpened:   cfg.Telemetry.Counter("server.sessions_opened"),
 		sessClosed:   cfg.Telemetry.Counter("server.sessions_closed"),
@@ -248,19 +250,20 @@ func New(cfg Config) *Server {
 		s.ckptdone = make(chan struct{})
 		go s.checkpointWriter()
 	}
-	s.pool = newPool(cfg.Workers, cfg.QueueDepth, cfg.TenantQueueDepth, cfg.TenantWeights, s.runJob)
-	// The sched queue holds chunks; the binding backlog limit is per-session
+	s.jobQueue = newDispatcher(cfg.Workers, cfg.QueueDepth, cfg.TenantQueueDepth, cfg.TenantWeights, s.runJob)
+	// The append queue holds chunks; the binding backlog limit is per-session
 	// (SessionBacklog traces between client and matcher), so its capacity is
-	// a generous ceiling and fairness comes from the stride order.
-	schedDepth := cfg.MaxSessions * cfg.SessionBacklog
-	s.sessSched = newSessionSched(cfg.SessionWorkers, schedDepth, schedDepth, cfg.TenantWeights, s.applySessionAppend)
+	// a generous ceiling and fairness comes from the stride order — a
+	// flooding tenant's appends are interleaved with everyone else's.
+	appendDepth := cfg.MaxSessions * cfg.SessionBacklog
+	s.appendQueue = newDispatcher(sessionWorkers, appendDepth, appendDepth, cfg.TenantWeights, s.applySessionAppend)
 	s.reg.RegisterFunc("server.sessions_live", func() int64 { return int64(s.sessions.live()) })
 	s.reg.RegisterFunc("server.sessions_stored", func() int64 { return int64(s.sessions.len()) })
-	s.reg.RegisterFunc("server.queue_depth", func() int64 { return int64(s.pool.queued()) })
+	s.reg.RegisterFunc("server.queue_depth", func() int64 { return int64(s.jobQueue.queued()) })
 	s.reg.RegisterFunc("server.queue_capacity", func() int64 { return int64(cfg.QueueDepth) })
 	s.reg.RegisterFunc("server.tenant_queue_capacity", func() int64 { return int64(cfg.TenantQueueDepth) })
 	s.reg.RegisterFunc("server.workers", func() int64 { return int64(cfg.Workers) })
-	s.reg.RegisterFunc("server.jobs_running", func() int64 { return s.pool.running.Load() })
+	s.reg.RegisterFunc("server.jobs_running", func() int64 { return s.jobsRunning.Load() })
 	s.reg.RegisterFunc("server.jobs_stored", func() int64 { return int64(s.jobs.len()) })
 	return s
 }
@@ -280,39 +283,32 @@ func (s *Server) submit(reqCtx context.Context, spec jobSpec) (*job, error) {
 	// journals) may leave the tenant empty; they account to the default
 	// tenant like any other unidentified traffic.
 	spec.tenant = tenant.Normalize(spec.tenant)
-	ctx, cancel := context.WithCancel(s.baseCtx)
-	j := &job{
-		spec:    spec,
-		created: time.Now(),
-		ctx:     ctx,
-		cancel:  cancel,
-		state:   StateQueued,
-	}
+	j := s.newJob(spec, time.Now())
 	s.jobs.add(j)
 	// Journal the submission before the job can reach a worker: the 202 the
 	// client is about to receive is then a durable promise. The persist hook
-	// is installed before pool.submit so every later transition is journaled
+	// is installed before the push so every later transition is journaled
 	// write-ahead.
 	s.persistSubmit(reqCtx, j)
 	j.persist = s.statePersister(j.id)
-	if err := s.pool.submit(j); err != nil {
+	if err := s.jobQueue.push(spec.tenant, j); err != nil {
 		s.rejected.Inc()
 		s.tenantStats(spec.tenant).rejectedQueue.Inc()
-		cancel()
-		// The job never ran; mark it terminal so the store can evict it.
-		j.mu.Lock()
-		if j.persist != nil {
-			j.persist(StateFailed, err.Error())
-		}
-		j.state = StateFailed
-		j.errMsg = err.Error()
-		j.finished = time.Now()
-		j.mu.Unlock()
+		j.cancel()
+		// The job never ran; mark it terminal so the registry can evict it.
+		j.finish(nil, err)
 		return nil, err
 	}
 	s.submitted.Inc()
 	s.tenantStats(spec.tenant).submitted.Inc()
 	return j, nil
+}
+
+// newJob creates a queued job whose context the server's shutdown
+// force-cancel reaches.
+func (s *Server) newJob(spec jobSpec, created time.Time) *job {
+	ctx, cancel := context.WithCancel(s.baseCtx)
+	return &job{spec: spec, created: created, ctx: ctx, cancel: cancel, state: StateQueued}
 }
 
 // Retry-After bounds. The floor keeps clients from hot-looping on a
@@ -381,7 +377,7 @@ func (s *Server) Shutdown(ctx context.Context) error {
 		s.shutdownSessions()
 		done := make(chan struct{})
 		go func() {
-			s.pool.drain()
+			s.jobQueue.drain()
 			close(done)
 		}()
 		select {

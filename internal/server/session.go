@@ -24,29 +24,14 @@ import (
 // session's single-writer matching core, which re-searches seeded from the
 // previous published mapping and pushes every new mapping to watchers.
 //
-// Lock order: sessionStore.mu → streamSession.mu. The stream.Session core is
+// Lock order: registry.mu → streamSession.mu. The stream.Session core is
 // never called under streamSession.mu when the call can wait on the writer
 // (Close, Abort) — the writer's OnUpdate callback takes streamSession.mu.
-
-// sessionSpec is the validated fixed side of a session.
-type sessionSpec struct {
-	algorithm eventmatch.Algorithm
-	algoName  string
-	tenant    string
-
-	l1   *event.Log
-	h1   string // content key of the source log artifact
-	fmt1 string
-
-	patterns []string
-	lenient  bool
-	timeout  time.Duration
-}
 
 // streamSession is one live (or terminal) streaming session.
 type streamSession struct {
 	id      string
-	spec    sessionSpec
+	spec    fixedSpec
 	created time.Time
 
 	// core is the single-writer matching session; nil for sessions restored
@@ -54,7 +39,7 @@ type streamSession struct {
 	core *stream.Session
 
 	mu    sync.Mutex
-	cond  *sync.Cond // broadcast on schedQueued changes and state transitions
+	cond  *sync.Cond // broadcast on schedQueued changes (finalizeSession waits on it)
 	state SessionState
 	// accepted counts admitted target traces; schedQueued the subset still in
 	// the fair queue (admitted, not yet handed to the core). The admission
@@ -68,6 +53,35 @@ type streamSession struct {
 
 	watchers  map[int]chan SessionUpdate
 	nextWatch int
+	ended     chan struct{} // closed by the terminal transition
+}
+
+// newStreamSession builds a session record without a core; startSession
+// attaches one, recovery leaves terminal sessions without.
+func newStreamSession(spec fixedSpec, created time.Time, state SessionState, accepted int) *streamSession {
+	ss := &streamSession{
+		spec:     spec,
+		created:  created,
+		state:    state,
+		accepted: accepted,
+		watchers: make(map[int]chan SessionUpdate),
+		ended:    make(chan struct{}),
+	}
+	ss.cond = sync.NewCond(&ss.mu)
+	if state.Terminal() {
+		close(ss.ended)
+	}
+	return ss
+}
+
+func (ss *streamSession) setID(id string) { ss.id = id }
+
+// terminal reports whether the session reached a final state (registry
+// eviction and the live-session count).
+func (ss *streamSession) terminal() bool {
+	ss.mu.Lock()
+	defer ss.mu.Unlock()
+	return ss.state.Terminal()
 }
 
 func (ss *streamSession) statusLocked() SessionStatus {
@@ -138,110 +152,15 @@ func (ss *streamSession) removeWatcher(id int) {
 	delete(ss.watchers, id)
 }
 
-// closeWatchersLocked ends every watch stream (terminal transition).
-func (ss *streamSession) closeWatchersLocked() {
+// endLocked is the terminal transition: set the final state, end every
+// watch stream and release everyone waiting on ended.
+func (ss *streamSession) endLocked(state SessionState) {
+	ss.state = state
 	for id, ch := range ss.watchers {
 		close(ch)
 		delete(ss.watchers, id)
 	}
-}
-
-// sessionStore holds sessions in open order, evicting the oldest terminal
-// ones past the cap. Live sessions are never evicted.
-type sessionStore struct {
-	mu    sync.Mutex
-	max   int
-	next  int
-	byID  map[string]*streamSession
-	order []*streamSession
-}
-
-func newSessionStore(max int) *sessionStore {
-	return &sessionStore{max: max, byID: make(map[string]*streamSession)}
-}
-
-func (s *sessionStore) add(ss *streamSession) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.next++
-	ss.id = fmt.Sprintf("s%d", s.next)
-	s.addLocked(ss)
-}
-
-// addRecovered registers a replayed session under its journaled id.
-func (s *sessionStore) addRecovered(ss *streamSession, id string) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	ss.id = id
-	s.addLocked(ss)
-}
-
-func (s *sessionStore) addLocked(ss *streamSession) {
-	s.byID[ss.id] = ss
-	s.order = append(s.order, ss)
-	if over := len(s.order) - s.max; over > 0 {
-		kept := s.order[:0]
-		for _, old := range s.order {
-			if over > 0 && old != ss {
-				//matchlint:ignore lockheld -- sessionStore.mu → streamSession.mu is the module's lock order
-				old.mu.Lock()
-				terminal := old.state.Terminal()
-				old.mu.Unlock()
-				if terminal {
-					delete(s.byID, old.id)
-					over--
-					continue
-				}
-			}
-			kept = append(kept, old)
-		}
-		s.order = kept
-	}
-}
-
-func (s *sessionStore) bumpSeq(n int) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if n > s.next {
-		s.next = n
-	}
-}
-
-func (s *sessionStore) get(id string) (*streamSession, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	ss, ok := s.byID[id]
-	return ss, ok
-}
-
-// live counts non-terminal sessions (the MaxSessions admission check and the
-// telemetry gauge).
-func (s *sessionStore) live() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	n := 0
-	for _, ss := range s.order {
-		//matchlint:ignore lockheld -- sessionStore.mu → streamSession.mu is the module's lock order
-		ss.mu.Lock()
-		if !ss.state.Terminal() {
-			n++
-		}
-		ss.mu.Unlock()
-	}
-	return n
-}
-
-// all returns every stored session (for shutdown teardown).
-func (s *sessionStore) all() []*streamSession {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return append([]*streamSession(nil), s.order...)
-}
-
-func (s *sessionStore) len() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.order)
+	close(ss.ended)
 }
 
 // sessAppend is one admitted chunk on its way from the HTTP handler to its
@@ -251,180 +170,61 @@ type sessAppend struct {
 	traces [][]string
 }
 
-// sessionSched is the fair admission path for appends: a weighted-fair queue
-// across tenants drained by a small dispatcher pool. The queue holds chunks,
-// not traces; the real backlog bound is per-session (SessionBacklog traces
-// between the client and the last published mapping), so the queue capacity
-// here is a generous upper bound and fairness comes from the stride
-// scheduling order — a flooding tenant's appends are interleaved with, not
-// ahead of, everyone else's.
-type sessionSched struct {
-	mu       sync.Mutex
-	cond     *sync.Cond
-	fq       *tenant.FairQueue[sessAppend]
-	draining bool
-	wg       sync.WaitGroup
-}
-
-func newSessionSched(workers, depth, perTenant int, weights map[string]int, apply func(sessAppend)) *sessionSched {
-	d := &sessionSched{fq: tenant.NewFairQueue[sessAppend](depth, perTenant, weights)}
-	d.cond = sync.NewCond(&d.mu)
-	for i := 0; i < workers; i++ {
-		d.wg.Add(1)
-		go func() {
-			defer d.wg.Done()
-			for {
-				d.mu.Lock()
-				for d.fq.Len() == 0 && !d.draining {
-					d.cond.Wait()
-				}
-				a, _, ok := d.fq.Pop()
-				d.mu.Unlock()
-				if !ok {
-					return
-				}
-				apply(a)
-			}
-		}()
-	}
-	return d
-}
-
-// push enqueues one chunk or fails fast (the handler turns the error into a
-// 429). Never blocks.
-func (d *sessionSched) push(ten string, a sessAppend) error {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if d.draining {
-		return errDraining
-	}
-	if err := d.fq.Push(ten, a); err != nil {
-		if errors.Is(err, tenant.ErrTenantFull) {
-			return errTenantSaturated
-		}
-		return errSaturated
-	}
-	d.cond.Signal()
-	return nil
-}
-
-// drain stops admission and waits for the dispatchers to empty the queue.
-func (d *sessionSched) drain() {
-	d.mu.Lock()
-	if !d.draining {
-		d.draining = true
-		d.cond.Broadcast()
-	}
-	d.mu.Unlock()
-	d.wg.Wait()
-}
-
-// openSession validates an open request into a live session. reqCtx bounds
-// the submission-side persists only.
+// openSession validates an open request into a live session. The caller
+// reserved a live slot; the session takes it, or a failed build returns it.
+// reqCtx bounds the submission-side persists only.
 func (s *Server) openSession(reqCtx context.Context, req OpenSessionRequest, ten string) (*streamSession, error) {
 	spec, err := s.buildSessionSpec(req)
+	var ss *streamSession
+	if err == nil {
+		spec.tenant = tenant.Normalize(ten)
+		ss, err = s.startSession(spec, time.Now(), 0, s.cfg.SessionBacklog)
+	}
 	if err != nil {
+		s.sessions.release()
 		return nil, err
 	}
-	spec.tenant = tenant.Normalize(ten)
-	ss, err := s.startSession(spec, event.NewLog(), 0, s.cfg.SessionBacklog)
-	if err != nil {
-		return nil, err
-	}
-	s.sessions.add(ss)
+	s.sessions.addReserved(ss)
 	s.persistSessionOpen(reqCtx, ss)
 	s.sessOpened.Inc()
 	s.tenantStats(spec.tenant).submitted.Inc()
 	return ss, nil
 }
 
-// buildSessionSpec validates the fixed side of a session: parse the source
-// log, resolve the algorithm (only the incremental-capable ones), bind the
-// patterns so pattern errors surface at open time.
-func (s *Server) buildSessionSpec(req OpenSessionRequest) (sessionSpec, error) {
-	var spec sessionSpec
-	algoName := req.Algorithm
-	if algoName == "" {
-		algoName = eventmatch.AlgoExact.String()
-	}
-	algo, err := eventmatch.ParseAlgorithm(algoName)
-	if err != nil {
-		return spec, err
-	}
-	switch algo {
-	case eventmatch.AlgoExact, eventmatch.AlgoHeuristicAdvanced, eventmatch.AlgoVertexEdge:
-	default:
-		return spec, fmt.Errorf("algorithm %q does not support streaming sessions (want exact, heuristic-advanced or vertex-edge)", algoName)
-	}
-	spec.algorithm, spec.algoName = algo, algoName
-
-	if spec.l1, _, spec.h1, spec.fmt1, err = s.ingest("log1", req.Log1, req.Lenient); err != nil {
-		return spec, err
-	}
-	spec.lenient = req.Lenient
-	spec.patterns = req.Patterns
-	if algo != eventmatch.AlgoVertexEdge {
-		if _, err := eventmatch.BindPatterns(req.Patterns, spec.l1.Alphabet); err != nil {
-			return spec, err
+// buildSessionSpec validates the fixed side of a session, admitting only the
+// algorithms that can re-search incrementally.
+func (s *Server) buildSessionSpec(req OpenSessionRequest) (fixedSpec, error) {
+	spec, _, err := s.buildFixed(req, eventmatch.AlgoExact, func(algo eventmatch.Algorithm) error {
+		switch algo {
+		case eventmatch.AlgoExact, eventmatch.AlgoHeuristicAdvanced, eventmatch.AlgoVertexEdge:
+			return nil
 		}
-	}
-	spec.timeout = s.cfg.DefaultDeadline
-	if req.TimeoutMS > 0 {
-		spec.timeout = time.Duration(req.TimeoutMS) * time.Millisecond
-		if spec.timeout > s.cfg.MaxDeadline {
-			spec.timeout = s.cfg.MaxDeadline
-		}
-	}
-	return spec, nil
+		return fmt.Errorf("algorithm %q does not support streaming sessions (want exact, heuristic-advanced or vertex-edge)", req.Algorithm)
+	})
+	return spec, err
 }
 
-// startSession builds the matching core around a validated spec. l2 is the
-// initial target log (empty for fresh sessions, the replayed prefix for
-// recovered ones); accepted counts its traces; maxPending sizes the core's
-// inbox.
-func (s *Server) startSession(spec sessionSpec, l2 *event.Log, accepted, maxPending int) (*streamSession, error) {
-	ss := &streamSession{
-		spec:     spec,
-		created:  time.Now(),
-		state:    SessionOpen,
-		accepted: accepted,
-		watchers: make(map[int]chan SessionUpdate),
-	}
-	ss.cond = sync.NewCond(&ss.mu)
+// startSession builds the matching core around a validated spec, over an
+// empty target log (recovery replays its deltas afterwards); accepted counts
+// the traces the session already admitted; maxPending sizes the core's inbox.
+func (s *Server) startSession(spec fixedSpec, created time.Time, accepted, maxPending int) (*streamSession, error) {
+	ss := newStreamSession(spec, created, SessionOpen, accepted)
 
-	var bound []*eventmatch.Pattern
-	mode := match.ModePattern
-	if spec.algorithm == eventmatch.AlgoVertexEdge {
-		mode = match.ModeVertexEdge
-	} else {
-		var err error
-		if bound, err = eventmatch.BindPatterns(spec.patterns, spec.l1.Alphabet); err != nil {
-			return nil, err
-		}
-	}
-	opts := match.Options{
-		Bound:       match.BoundSharp,
-		MaxDuration: spec.timeout,
-		Workers:     s.cfg.SearchWorkers,
-		Telemetry:   s.reg,
-	}
-	search := func(ctx context.Context, pr *match.Problem, o match.Options) (match.Mapping, match.Stats, error) {
-		return pr.AStarContext(ctx, o)
-	}
-	if spec.algorithm == eventmatch.AlgoHeuristicAdvanced {
-		opts.Bound = match.BoundSimple
-		search = func(ctx context.Context, pr *match.Problem, o match.Options) (match.Mapping, match.Stats, error) {
-			return pr.HeuristicAdvancedContext(ctx, o)
-		}
-	}
-
+	mode, bound, search := searchFor(spec.algorithm)
 	core, err := stream.NewSession(stream.SessionConfig{
-		L1:         spec.l1,
-		L2:         l2,
-		Patterns:   bound,
-		Mode:       mode,
-		Options:    opts,
-		Search:     search,
+		L1:       spec.l1,
+		L2:       event.NewLog(),
+		Patterns: spec.bound,
+		Mode:     mode,
+		Options: match.Options{
+			Bound:       bound,
+			MaxDuration: spec.timeout,
+			Workers:     s.cfg.SearchWorkers,
+			Telemetry:   s.reg,
+		},
+		Search: func(ctx context.Context, pr *match.Problem, o match.Options) (match.Mapping, match.Stats, error) {
+			return search(pr, ctx, o)
+		},
 		MaxPending: maxPending,
 		// OnUpdate runs on the core's writer goroutine, the only place the
 		// live target alphabet may be read — names are rendered here, not at
@@ -471,7 +271,7 @@ func (s *Server) appendSession(ss *streamSession, traces [][]string) (int, error
 	if ss.accepted-lastRev+len(traces) > s.cfg.SessionBacklog {
 		return 0, errSaturated
 	}
-	if err := s.sessSched.push(ss.spec.tenant, sessAppend{sess: ss, traces: traces}); err != nil {
+	if err := s.appendQueue.push(ss.spec.tenant, sessAppend{sess: ss, traces: traces}); err != nil {
 		return 0, err
 	}
 	s.persistSessionDelta(ss, traces)
@@ -518,54 +318,24 @@ func (s *Server) finalizeSession(ss *streamSession) {
 	ss.mu.Unlock()
 	// The core drain is bounded by the per-search deadline (every re-search
 	// has a MaxDuration), so an unbounded context here cannot hang shutdown.
-	fin, err := ss.core.Close(context.Background())
+	_, err := ss.core.Close(context.Background())
 	ss.mu.Lock()
 	defer ss.mu.Unlock()
 	if ss.state != SessionClosing { // aborted while draining
 		return
 	}
 	if err == nil {
-		// OnUpdate already published the final marker; ss.last reflects fin.
-		_ = fin
+		// OnUpdate already published the final marker, so ss.last is final.
 		s.persistSessionClose(ss, string(SessionClosed))
-		ss.state = SessionClosed
+		ss.endLocked(SessionClosed)
 		s.sessClosed.Inc()
 		s.tenantStats(ss.spec.tenant).completed.Inc()
 	} else {
 		ss.errMsg = err.Error()
 		s.persistSessionClose(ss, string(SessionAborted))
-		ss.state = SessionAborted
+		ss.endLocked(SessionAborted)
 		s.sessAborted.Inc()
 	}
-	ss.closeWatchersLocked()
-	ss.cond.Broadcast()
-}
-
-// waitSessionTerminal blocks until the session reaches a terminal state or
-// ctx expires, returning the status either way.
-func (s *Server) waitSessionTerminal(ctx context.Context, ss *streamSession) SessionStatus {
-	done := make(chan struct{})
-	stop := false // guarded by ss.mu; lets a canceled wait exit before terminal
-	go func() {
-		defer close(done)
-		ss.mu.Lock()
-		defer ss.mu.Unlock()
-		for !ss.state.Terminal() && !stop {
-			ss.cond.Wait()
-		}
-	}()
-	select {
-	case <-done:
-	case <-ctx.Done():
-		// Release the waiter goroutine; the drain itself continues in the
-		// finalizer regardless.
-		ss.mu.Lock()
-		stop = true
-		ss.cond.Broadcast()
-		ss.mu.Unlock()
-		<-done
-	}
-	return ss.status()
 }
 
 // abortSession terminates a session immediately: pending chunks are dropped,
@@ -586,8 +356,7 @@ func (s *Server) abortSession(ss *streamSession, journal bool) bool {
 	if journal {
 		s.persistSessionClose(ss, string(SessionAborted))
 	}
-	ss.closeWatchersLocked()
-	ss.cond.Broadcast()
+	ss.endLocked(SessionAborted)
 	ss.mu.Unlock()
 	if journal {
 		s.sessAborted.Inc()
@@ -601,19 +370,12 @@ func (s *Server) abortSession(ss *streamSession, journal bool) bool {
 // WITHOUT journaling a terminal state — open sessions must come back on the
 // next boot, rebuilt from their journaled deltas.
 func (s *Server) shutdownSessions() {
-	if s.sessSched == nil {
-		return
-	}
-	s.sessSched.drain()
+	s.appendQueue.drain()
 	for _, ss := range s.sessions.all() {
 		s.abortSession(ss, false)
 		// Sessions mid-close: their finalizer owns the terminal transition;
 		// the core drain is deadline-bounded, so just wait it out.
-		ss.mu.Lock()
-		for ss.state == SessionClosing {
-			ss.cond.Wait()
-		}
-		ss.mu.Unlock()
+		<-ss.ended
 	}
 }
 

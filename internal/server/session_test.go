@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -326,6 +327,65 @@ func TestSessionAdmission(t *testing.T) {
 	st3 := openSession(t, ts, req) // slot is free again
 	if st3.ID == st.ID {
 		t.Fatalf("session id reused: %s", st3.ID)
+	}
+}
+
+// TestSessionOpenCapConcurrent races opens against MaxSessions = 1. The cap
+// check and the insert used to be separate steps with the log ingest and the
+// core build between them, so several concurrent opens could all pass the
+// check; exactly one may be admitted.
+func TestSessionOpenCapConcurrent(t *testing.T) {
+	req, _ := fig1SessionRequest(t, "exact")
+	body, err := json.Marshal(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const rounds, openers = 10, 8
+	for round := 0; round < rounds; round++ {
+		s := New(Config{MaxSessions: 1, DefaultDeadline: 5 * time.Second})
+		ts := httptest.NewServer(s.Handler())
+		start := make(chan struct{})
+		codes := make(chan int, openers)
+		var wg sync.WaitGroup
+		for i := 0; i < openers; i++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				<-start
+				resp, err := http.Post(ts.URL+"/api/v1/sessions", "application/json", bytes.NewReader(body))
+				if err != nil {
+					codes <- 0
+					return
+				}
+				resp.Body.Close()
+				codes <- resp.StatusCode
+			}()
+		}
+		close(start)
+		wg.Wait()
+		close(codes)
+		admitted := 0
+		for code := range codes {
+			switch code {
+			case http.StatusAccepted:
+				admitted++
+			case http.StatusTooManyRequests:
+			default:
+				t.Errorf("round %d: open answered HTTP %d", round, code)
+			}
+		}
+		if admitted != 1 {
+			t.Errorf("round %d: %d of %d concurrent opens admitted under MaxSessions = 1", round, admitted, openers)
+		}
+		if live := s.sessions.live(); live != 1 {
+			t.Errorf("round %d: %d live sessions", round, live)
+		}
+		ts.Close()
+		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+		if err := s.Shutdown(ctx); err != nil {
+			t.Errorf("shutdown: %v", err)
+		}
+		cancel()
 	}
 }
 

@@ -173,54 +173,34 @@ func parseTruthLines(text string) (map[string]string, error) {
 	return out, nil
 }
 
-// buildSpec validates a decoded submission into an executable spec: parse
-// both logs (through the content-hash cache), resolve the algorithm, bind
-// the patterns against L1's alphabet (pattern errors surface here, not on a
-// worker), resolve the ground truth to event ids, and clamp the budgets to
-// the server's limits.
+// buildSpec validates a decoded submission into an executable spec: the
+// shared fixed side (buildFixed), then the target log (through the
+// content-hash cache), the ground truth resolved to event ids, and the
+// budgets clamped to the server's limits.
 func (s *Server) buildSpec(req SubmitRequest) (jobSpec, error) {
-	var spec jobSpec
-
-	algoName := req.Algorithm
-	if algoName == "" {
-		algoName = eventmatch.AlgoHeuristicAdvanced.String()
-	}
-	algo, err := eventmatch.ParseAlgorithm(algoName)
+	var (
+		spec jobSpec
+		err  error
+	)
+	spec.fixedSpec, spec.rep1, err = s.buildFixed(OpenSessionRequest{
+		Log1:      req.Log1,
+		Patterns:  req.Patterns,
+		Algorithm: req.Algorithm,
+		TimeoutMS: req.TimeoutMS,
+		Lenient:   req.Lenient,
+	}, eventmatch.AlgoHeuristicAdvanced, nil)
 	if err != nil {
-		return spec, err
-	}
-	spec.algorithm, spec.algoName = algo, algoName
-
-	if spec.l1, spec.rep1, spec.h1, spec.fmt1, err = s.ingest("log1", req.Log1, req.Lenient); err != nil {
 		return spec, err
 	}
 	if spec.l2, spec.rep2, spec.h2, spec.fmt2, err = s.ingest("log2", req.Log2, req.Lenient); err != nil {
 		return spec, err
 	}
-	spec.lenient = req.Lenient
-
-	spec.patterns = req.Patterns
-	usesPatterns := algo != eventmatch.AlgoVertex && algo != eventmatch.AlgoVertexEdge &&
-		algo != eventmatch.AlgoIterative && algo != eventmatch.AlgoEntropy
-	if usesPatterns {
-		if _, err := eventmatch.BindPatterns(req.Patterns, spec.l1.Alphabet); err != nil {
-			return spec, err
-		}
-	}
-
 	if len(req.Truth) > 0 {
-		if spec.truth, err = resolveTruth(req.Truth, spec.l1, spec.l2); err != nil {
-			return spec, err
+		// A truth entry that can never be scored is almost certainly a typo.
+		if spec.truth, err = resolvePairs(req.Truth, spec.l1, spec.l2); err != nil {
+			return spec, fmt.Errorf("truth: %w", err)
 		}
 		spec.truthNames = req.Truth
-	}
-
-	spec.timeout = s.cfg.DefaultDeadline
-	if req.TimeoutMS > 0 {
-		spec.timeout = time.Duration(req.TimeoutMS) * time.Millisecond
-		if spec.timeout > s.cfg.MaxDeadline {
-			spec.timeout = s.cfg.MaxDeadline
-		}
 	}
 	if req.MaxGenerated < 0 || req.MaxFrontier < 0 {
 		return spec, fmt.Errorf("max_generated and max_frontier must be non-negative")
@@ -235,6 +215,56 @@ func (s *Server) buildSpec(req SubmitRequest) (jobSpec, error) {
 		}
 	}
 	return spec, nil
+}
+
+// buildFixed validates the side jobs and sessions share: resolve the
+// algorithm (def when unnamed; allow, when non-nil, vets it before anything
+// is ingested), parse the source log through the content-hash cache, bind
+// the patterns against its alphabet so pattern errors surface at admission
+// rather than on a worker, and clamp the deadline to the server's maximum.
+// req holds exactly the fields a submission shares with an open request.
+// It also returns the source log's read report.
+func (s *Server) buildFixed(req OpenSessionRequest, def eventmatch.Algorithm, allow func(eventmatch.Algorithm) error) (fixedSpec, logio.ReadReport, error) {
+	spec := fixedSpec{algoName: req.Algorithm, lenient: req.Lenient, patterns: req.Patterns}
+	var rep logio.ReadReport
+	if spec.algoName == "" {
+		spec.algoName = def.String()
+	}
+	var err error
+	if spec.algorithm, err = eventmatch.ParseAlgorithm(spec.algoName); err != nil {
+		return spec, rep, err
+	}
+	if allow != nil {
+		if err := allow(spec.algorithm); err != nil {
+			return spec, rep, err
+		}
+	}
+	if spec.l1, rep, spec.h1, spec.fmt1, err = s.ingest("log1", req.Log1, req.Lenient); err != nil {
+		return spec, rep, err
+	}
+	if bindsPatterns(spec.algorithm) {
+		if spec.bound, err = eventmatch.BindPatterns(req.Patterns, spec.l1.Alphabet); err != nil {
+			return spec, rep, err
+		}
+	}
+	spec.timeout = s.cfg.DefaultDeadline
+	if req.TimeoutMS > 0 {
+		spec.timeout = time.Duration(req.TimeoutMS) * time.Millisecond
+		if spec.timeout > s.cfg.MaxDeadline {
+			spec.timeout = s.cfg.MaxDeadline
+		}
+	}
+	return spec, rep, nil
+}
+
+// bindsPatterns reports whether the algorithm matches with user patterns;
+// the others ignore them.
+func bindsPatterns(algo eventmatch.Algorithm) bool {
+	switch algo {
+	case eventmatch.AlgoVertex, eventmatch.AlgoVertexEdge, eventmatch.AlgoIterative, eventmatch.AlgoEntropy:
+		return false
+	}
+	return true
 }
 
 // ingest parses one submitted log through the content-hash cache and, when a
@@ -255,36 +285,44 @@ func (s *Server) ingest(name string, p LogPayload, lenient bool) (*event.Log, lo
 		return nil, logio.ReadReport{}, "", "", fmt.Errorf("%s: unknown format %q", name, format)
 	}
 	key := logKey(format, lenient, []byte(p.Data))
-	l, rep, err := s.logs.get(key, format, []byte(p.Data), logio.ReadOptions{
-		Lenient:     lenient,
-		MaxLogBytes: s.cfg.MaxUploadBytes,
-		Telemetry:   s.reg,
+	pl, err := s.logs.get(key, func() (parsedLog, error) {
+		l, rep, err := logio.ReadWithReport(strings.NewReader(p.Data), format, logio.ReadOptions{
+			Lenient:     lenient,
+			MaxLogBytes: s.cfg.MaxUploadBytes,
+			Telemetry:   s.reg,
+		})
+		return parsedLog{l, rep}, err
 	})
 	if err != nil {
-		return nil, rep, "", "", fmt.Errorf("%s: %w", name, err)
+		return nil, pl.rep, "", "", fmt.Errorf("%s: %w", name, err)
 	}
-	if l.NumEvents() == 0 {
-		return nil, rep, "", "", fmt.Errorf("%s: no events after parsing", name)
+	if pl.log.NumEvents() == 0 {
+		return nil, pl.rep, "", "", fmt.Errorf("%s: no events after parsing", name)
 	}
 	s.persistLogArtifact(key, []byte(p.Data))
-	return l, rep, key, format, nil
+	return pl.log, pl.rep, key, format, nil
 }
 
-// resolveTruth maps a name-level ground truth onto event ids. Unknown names
-// are submission errors: a truth entry that can never be scored is almost
-// certainly a typo.
-func resolveTruth(truth map[string]string, l1, l2 *event.Log) (match.Mapping, error) {
-	m := match.NewMapping(l1.NumEvents())
-	for n1, n2 := range truth {
-		v1 := l1.Alphabet.Lookup(n1)
-		if v1 == event.None {
-			return nil, fmt.Errorf("truth: event %q not in log1's alphabet", n1)
-		}
-		v2 := l2.Alphabet.Lookup(n2)
-		if v2 == event.None {
-			return nil, fmt.Errorf("truth: event %q not in log2's alphabet", n2)
-		}
-		m[v1] = v2
+// resolvePairs maps name pairs (a ground truth or a checkpoint) onto event
+// ids, skipping names either log does not know; err reports the first one
+// skipped.
+func resolvePairs(pairs map[string]string, l1, l2 *event.Log) (match.Mapping, error) {
+	if len(pairs) == 0 {
+		return nil, nil
 	}
-	return m, nil
+	m := match.NewMapping(l1.NumEvents())
+	var err error
+	for n1, n2 := range pairs {
+		v1, v2 := l1.Alphabet.Lookup(n1), l2.Alphabet.Lookup(n2)
+		switch {
+		case v1 != event.None && v2 != event.None:
+			m[v1] = v2
+		case err != nil:
+		case v1 == event.None:
+			err = fmt.Errorf("event %q not in log1's alphabet", n1)
+		default:
+			err = fmt.Errorf("event %q not in log2's alphabet", n2)
+		}
+	}
+	return m, err
 }

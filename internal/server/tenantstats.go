@@ -38,7 +38,7 @@ func (s *Server) tenantStats(name string) *tenantStats {
 		rejectedRate:  s.reg.Counter(prefix + "rejected_rate"),
 		waitTimer:     s.reg.Timer(prefix + "job_wait"),
 	}
-	s.reg.RegisterFunc(prefix+"queued", func() int64 { return int64(s.pool.tenantQueued(name)) })
+	s.reg.RegisterFunc(prefix+"queued", func() int64 { return int64(s.jobQueue.tenantQueued(name)) })
 	s.tenants[name] = st
 	return st
 }
