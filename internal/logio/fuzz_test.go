@@ -34,13 +34,22 @@ func FuzzReadTraceLines(f *testing.F) {
 	})
 }
 
-// FuzzReadCSV checks the CSV reader handles arbitrary input without panics.
+// FuzzReadCSV checks the CSV reader handles arbitrary input without panics
+// and agrees with readCSVReference, strict and lenient, on everything it
+// returns: alphabet order, traces, report and error text.
 func FuzzReadCSV(f *testing.F) {
 	f.Add("case,activity\nc1,A\nc1,B\n")
 	f.Add("c1,A\n")
 	f.Add(",,,\n")
 	f.Add("\"quoted\",value\n")
+	f.Add("c1,A\nc2,B\nc1,C\nc2,A\nc1,D\n")
+	f.Add("\ufeffcase,activity\r\nc1,\"A,B\"\r\nc1,B\"x\r\n")
 	f.Fuzz(func(t *testing.T, src string) {
+		for _, opts := range []ReadOptions{{}, {Lenient: true}, {Lenient: true, MaxTraceLen: 2}} {
+			if d := csvParityDiff(src, opts); d != "" {
+				t.Fatalf("%+v: %s", opts, d)
+			}
+		}
 		l, err := ReadCSV(strings.NewReader(src))
 		if err != nil {
 			return

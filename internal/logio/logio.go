@@ -18,7 +18,6 @@
 package logio
 
 import (
-	"bufio"
 	"encoding/csv"
 	"encoding/xml"
 	"errors"
@@ -48,7 +47,7 @@ func ReadTraceLinesReport(r io.Reader, opts ReadOptions) (*event.Log, ReadReport
 	}
 	var rep ReadReport
 	l := event.NewLog()
-	br := bufio.NewReader(guardReader(r, opts))
+	br := skipBOM(guardReader(r, opts))
 	lineNo := 0
 	for {
 		line, err := br.ReadString('\n')
@@ -118,15 +117,28 @@ func ReadCSV(r io.Reader) (*event.Log, error) {
 // lenient mode malformed rows are skipped, cases whose traces exceed
 // MaxTraceLen are dropped whole, and a byte-limit hit keeps the rows parsed so
 // far; every skip is recorded in the report.
+//
+// encoding/csv tokenizes; assembly maps each case to a dense case index and
+// each activity to a local name id as rows stream in, cloning a field only
+// when it becomes a new map key. The alphabet is interned at the end, walking
+// the kept cases in first-appearance order, so event ids come out exactly as
+// if every kept case had been appended name by name.
 func ReadCSVReport(r io.Reader, opts ReadOptions) (*event.Log, ReadReport, error) {
 	var rep ReadReport
-	cr := csv.NewReader(guardReader(r, opts))
+	cr := csv.NewReader(skipBOM(guardReader(r, opts)))
 	cr.FieldsPerRecord = -1 // validated by hand for per-row leniency
-	order := []string{}
-	byCase := map[string][]string{}
-	oversized := map[string]bool{}
-	first := true
-	caseIdx := map[string]int{}
+	cr.ReuseRecord = true
+	type csvCase struct {
+		ids       []int32 // local name ids in row order
+		oversized bool    // the whole case is being dropped
+	}
+	var (
+		cases   []csvCase // in first-appearance order
+		caseIdx = map[string]int32{}
+		names   []string // local name id -> activity
+		nameIdx = map[string]int32{}
+		first   = true
+	)
 	for {
 		rec, err := cr.Read()
 		if err == io.EOF {
@@ -175,32 +187,53 @@ func ReadCSVReport(r io.Reader, opts ReadOptions) (*event.Log, ReadReport, error
 			rep.SkippedRows++
 			continue
 		}
-		if oversized[c] {
-			continue // the whole case is being dropped
+		ci, ok := caseIdx[c]
+		if !ok {
+			ci = int32(len(cases))
+			caseIdx[strings.Clone(c)] = ci
+			cases = append(cases, csvCase{})
 		}
-		if _, ok := byCase[c]; !ok {
-			caseIdx[c] = len(order)
-			order = append(order, c)
+		cs := &cases[ci]
+		if cs.oversized {
+			continue
 		}
-		if opts.MaxTraceLen > 0 && len(byCase[c]) >= opts.MaxTraceLen {
-			pe := ParseError{Line: line, Trace: caseIdx[c], Msg: fmt.Sprintf("case %q exceeds %d events", c, opts.MaxTraceLen)}
+		if opts.MaxTraceLen > 0 && len(cs.ids) >= opts.MaxTraceLen {
+			pe := ParseError{Line: line, Trace: int(ci), Msg: fmt.Sprintf("case %q exceeds %d events", c, opts.MaxTraceLen)}
 			if !opts.Lenient {
 				return nil, rep, fmt.Errorf("logio: csv: %w", pe)
 			}
 			rep.record(opts, pe)
 			rep.SkippedTraces++
-			oversized[c] = true
-			byCase[c] = nil
+			cs.oversized = true
+			cs.ids = nil
 			continue
 		}
-		byCase[c] = append(byCase[c], a)
+		ni, ok := nameIdx[a]
+		if !ok {
+			ni = int32(len(names))
+			a = strings.Clone(a)
+			nameIdx[a] = ni
+			names = append(names, a)
+		}
+		cs.ids = append(cs.ids, ni)
 	}
 	l := event.NewLog()
-	for _, c := range order {
-		if oversized[c] || len(byCase[c]) == 0 {
+	global := make([]event.ID, len(names)) // local name id -> alphabet id
+	for i := range global {
+		global[i] = event.None
+	}
+	for _, cs := range cases {
+		if cs.oversized {
 			continue
 		}
-		l.AppendNames(byCase[c]...)
+		t := make(event.Trace, len(cs.ids))
+		for i, ni := range cs.ids {
+			if global[ni] == event.None {
+				global[ni] = l.Alphabet.Intern(names[ni])
+			}
+			t[i] = global[ni]
+		}
+		l.Append(t)
 		rep.Traces++
 	}
 	opts.noteRead(l, &rep)

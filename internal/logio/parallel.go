@@ -1,7 +1,6 @@
 package logio
 
 import (
-	"bufio"
 	"fmt"
 	"io"
 	"strings"
@@ -21,7 +20,7 @@ import (
 func readTraceLinesParallel(r io.Reader, opts ReadOptions) (*event.Log, ReadReport, error) {
 	var rep ReadReport
 	l := event.NewLog()
-	br := bufio.NewReader(guardReader(r, opts))
+	br := skipBOM(guardReader(r, opts))
 
 	type rawLine struct {
 		text string

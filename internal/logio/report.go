@@ -1,6 +1,7 @@
 package logio
 
 import (
+	"bufio"
 	"errors"
 	"fmt"
 	"io"
@@ -154,4 +155,19 @@ func guardReader(r io.Reader, opts ReadOptions) io.Reader {
 		r = &countingReader{r: r, c: opts.Telemetry.Counter("logio.bytes")}
 	}
 	return r
+}
+
+// utf8BOM is the byte-order mark spreadsheet exports often lead with.
+const utf8BOM = "\ufeff"
+
+// skipBOM buffers r and drops a leading UTF-8 BOM, so it never becomes part
+// of a CSV header or an event name. It wraps guardReader's output: the BOM
+// still counts against MaxLogBytes and towards logio.bytes. The buffer has
+// bufio's default size, which csv.NewReader adopts instead of adding its own.
+func skipBOM(r io.Reader) *bufio.Reader {
+	br := bufio.NewReader(r)
+	if b, err := br.Peek(len(utf8BOM)); err == nil && string(b) == utf8BOM {
+		_, _ = br.Discard(len(utf8BOM)) // peeked bytes are buffered: cannot fail
+	}
+	return br
 }

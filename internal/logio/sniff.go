@@ -26,7 +26,7 @@ func SniffFormat(data []byte) string {
 	if len(data) > sniffLimit {
 		data = data[:sniffLimit]
 	}
-	data = bytes.TrimPrefix(data, []byte{0xEF, 0xBB, 0xBF}) // UTF-8 BOM
+	data = bytes.TrimPrefix(data, []byte(utf8BOM))
 	trimmed := bytes.TrimLeft(data, " \t\r\n")
 	if len(trimmed) > 0 && trimmed[0] == '<' {
 		return FormatXES
