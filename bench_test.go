@@ -6,10 +6,13 @@
 package eventmatch_test
 
 import (
+	"fmt"
+	"slices"
 	"testing"
 	"time"
 
 	"eventmatch"
+	"eventmatch/internal/event"
 	"eventmatch/internal/experiments"
 	"eventmatch/internal/gen"
 	"eventmatch/internal/match"
@@ -326,7 +329,7 @@ func BenchmarkAblationTraceIndex(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	ix := pattern.NewTraceIndex(g.L1)
+	eng := pattern.NewEngine(pattern.NewTraceIndex(g.L1), 1)
 	b.Run("direct", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			p.Frequency(g.L1)
@@ -334,7 +337,7 @@ func BenchmarkAblationTraceIndex(b *testing.B) {
 	})
 	b.Run("indexed", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			ix.Frequency(p)
+			eng.Frequency(p)
 		}
 	})
 }
@@ -346,5 +349,181 @@ func BenchmarkPublicMatch(b *testing.B) {
 		if _, err := eventmatch.Match(g.L1, g.L2, eventmatch.Config{Patterns: g.Patterns}); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// benchWorkers is the worker-count axis of every parallel benchmark.
+var benchWorkers = []int{1, 2, 4, 8}
+
+// freqWorkload builds the Fig. 12-scale frequency workload: a 50-event
+// synthetic log with several thousand traces and its complex patterns.
+func freqWorkload(b testing.TB) (*pattern.TraceIndex, []*pattern.Pattern) {
+	g := gen.LargeSynthetic(107, 5, 6000)
+	ps := make([]*pattern.Pattern, 0, len(g.Patterns))
+	for _, src := range g.Patterns {
+		p, err := pattern.ParseBind(src, g.L1.Alphabet)
+		if err != nil {
+			b.Fatal(err)
+		}
+		ps = append(ps, p)
+	}
+	if len(ps) == 0 {
+		b.Fatal("no patterns in workload")
+	}
+	return pattern.NewTraceIndex(g.L1), ps
+}
+
+// BenchmarkFrequencyEngine measures one full pattern-set frequency
+// evaluation (uncached — the cold path every matcher pays) at each worker
+// count.
+func BenchmarkFrequencyEngine(b *testing.B) {
+	ix, ps := freqWorkload(b)
+	for _, w := range benchWorkers {
+		w := w
+		b.Run(fmt.Sprintf("workers=%d", w), func(b *testing.B) {
+			eng := pattern.NewEngine(ix, w)
+			for i := 0; i < b.N; i++ {
+				for _, p := range ps {
+					eng.Frequency(p)
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkMatchParallel measures the end-to-end advanced heuristic on the
+// 20-event synthetic workload at each worker count.
+func BenchmarkMatchParallel(b *testing.B) {
+	g := gen.LargeSynthetic(107, 2, 600)
+	ps := make([]*pattern.Pattern, 0, len(g.Patterns))
+	for _, src := range g.Patterns {
+		p, err := pattern.ParseBind(src, g.L1.Alphabet)
+		if err != nil {
+			b.Fatal(err)
+		}
+		ps = append(ps, p)
+	}
+	for _, w := range benchWorkers {
+		w := w
+		b.Run(fmt.Sprintf("workers=%d", w), func(b *testing.B) {
+			pr, err := match.BuildProblem(g.L1, g.L2, ps, match.ModePattern)
+			if err != nil {
+				b.Fatal(err)
+			}
+			for i := 0; i < b.N; i++ {
+				if _, _, err := pr.HeuristicAdvanced(match.Options{Bound: match.BoundSimple, Workers: w}); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// TestFrequencyEngineAllocs gates the frequency kernel on the
+// BenchmarkFrequencyEngine workload. Every worker count must reproduce an
+// unindexed scan of the log bit for bit, and once the engine's scratch pool
+// is warm a full pattern-set evaluation at one worker allocates nothing.
+func TestFrequencyEngineAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation changes sync.Pool reuse and allocation counts")
+	}
+	ix, ps := freqWorkload(t)
+	for _, w := range benchWorkers {
+		eng := pattern.NewEngine(ix, w)
+		for i, p := range ps {
+			if got, want := eng.Frequency(p), p.Frequency(ix.Log()); got != want {
+				t.Fatalf("workers=%d pattern %d: engine f = %v, direct scan %v", w, i, got, want)
+			}
+		}
+	}
+	eng := pattern.NewEngine(ix, 1)
+	allocs := testing.AllocsPerRun(5, func() {
+		for _, p := range ps {
+			eng.Frequency(p)
+		}
+	})
+	t.Logf("pattern-set evaluation at 1 worker: %v allocs", allocs)
+	if allocs != 0 {
+		t.Errorf("pattern-set evaluation at 1 worker: %v allocs, want 0", allocs)
+	}
+}
+
+// streamTail is how many trailing traces of the frequency workload the
+// streaming gate and benchmark append. 256 appends cross four bitset-width
+// boundaries (one re-layout every 64 traces), so re-layout cost shows at its
+// amortized weight.
+const streamTail = 256
+
+// streamWorkload returns the frequency workload's log and patterns, and
+// the index of the first of its last streamTail traces, the ones streamed.
+func streamWorkload(tb testing.TB) (full *event.Log, cut int, ps []*pattern.Pattern) {
+	ix, ps := freqWorkload(tb)
+	full = ix.Log()
+	return full, full.NumTraces() - streamTail, ps
+}
+
+// streamPrefix indexes a fresh log holding full's first cut traces. It
+// shares full's alphabet, which appends never change.
+func streamPrefix(full *event.Log, cut int) (*event.Log, *pattern.TraceIndex) {
+	l := &event.Log{Alphabet: full.Alphabet, Traces: append([]event.Trace(nil), full.Traces[:cut]...)}
+	return l, pattern.NewTraceIndex(l)
+}
+
+// TestTraceIndexApplyAllocs gates streaming index maintenance: folding one
+// appended trace into the index costs at most one allocation (the delta's
+// distinct-event slice), amortizing the 64-append bitset re-layouts, and
+// leaves an index whose bitsets and frequencies equal a rebuild's.
+func TestTraceIndexApplyAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation changes allocation counts")
+	}
+	full, cut, ps := streamWorkload(t)
+	l, ix := streamPrefix(full, cut)
+	tail := full.Traces[cut:]
+	next := 0
+	// AllocsPerRun makes one warm-up call before the counted ones, so the
+	// whole tail is appended exactly once.
+	allocs := testing.AllocsPerRun(len(tail)-1, func() {
+		ix.Apply(l.AppendDelta(tail[next]))
+		next++
+	})
+	t.Logf("AppendDelta + Apply: %v allocs per append", allocs)
+	if allocs > 1 {
+		t.Errorf("AppendDelta + Apply: %v allocs per append, want <= 1", allocs)
+	}
+	if next != len(tail) || l.NumTraces() != full.NumTraces() {
+		t.Fatalf("appended %d of %d tail traces", next, len(tail))
+	}
+	rebuilt := pattern.NewTraceIndex(full)
+	for v := event.ID(0); int(v) < full.NumEvents(); v++ {
+		if got, want := ix.Bits(v), rebuilt.Bits(v); !slices.Equal(got, want) {
+			t.Fatalf("event %d: bitset %#x, rebuild %#x", v, got, want)
+		}
+	}
+	inc, ref := pattern.NewEngine(ix, 1), pattern.NewEngine(rebuilt, 1)
+	for i, p := range ps {
+		if got, want := inc.Frequency(p), ref.Frequency(p); got != want {
+			t.Errorf("pattern %d: incremental f = %v, rebuild %v", i, got, want)
+		}
+	}
+}
+
+// BenchmarkTraceIndexApply measures one streamed append folded into the
+// index (AppendDelta + Apply) on the frequency workload, restarting from the
+// prefix index whenever the tail runs out.
+func BenchmarkTraceIndexApply(b *testing.B) {
+	full, cut, _ := streamWorkload(b)
+	tail := full.Traces[cut:]
+	var l *event.Log
+	var ix *pattern.TraceIndex
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if i%len(tail) == 0 {
+			b.StopTimer()
+			l, ix = streamPrefix(full, cut)
+			b.StartTimer()
+		}
+		ix.Apply(l.AppendDelta(tail[i%len(tail)]))
 	}
 }

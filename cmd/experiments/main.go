@@ -20,128 +20,53 @@ import (
 	"eventmatch/internal/experiments"
 )
 
+// experimentNames lists the -only values, in run order.
+var experimentNames = []string{"table3", "fig7", "fig8", "fig9", "fig10", "fig12", "table4", "robustness", "ablations"}
+
 func main() {
-	only := flag.String("only", "", "comma-separated subset of experiments to run (default: all; 'benchfreq' and 'benchstream' run only when named)")
+	only := flag.String("only", "", "comma-separated subset of experiments to run (default: all): "+strings.Join(experimentNames, ","))
 	quick := flag.Bool("quick", false, "reduced scale for a fast smoke run")
 	seed := flag.Int64("seed", 7, "workload seed")
 	budget := flag.Duration("budget", 60*time.Second, "per-run budget for exact approaches")
-	benchOut := flag.String("bench-out", "", "benchfreq/benchstream: write the measured bench document to this path")
-	benchGate := flag.String("bench-gate", "", "benchfreq/benchstream: fail if allocs/op regressed >20% vs this committed document")
-	benchReps := flag.Int("bench-reps", 0, "benchfreq/benchstream: timed repetitions per point (0 = default)")
 	flag.Parse()
 
+	selected, err := parseOnly(*only)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "experiments:", err)
+		os.Exit(2)
+	}
 	cfg := experiments.Config{Seed: *seed, ExactBudget: *budget}
 	if *quick {
 		cfg.Traces = 800
 		cfg.SynthTraces = 1000
 		cfg.Runs = 50
 	}
-
-	want := map[string]bool{}
-	if *only != "" {
-		for _, name := range strings.Split(*only, ",") {
-			want[strings.TrimSpace(name)] = true
-		}
-	}
-	selected := func(name string) bool { return len(want) == 0 || want[name] }
-
-	// The bench rig runs only when named explicitly: it is a measurement
-	// tool with file side effects, not part of the paper's table/figure set.
-	if want["benchfreq"] {
-		if err := runBenchFreq(*benchOut, *benchGate, *benchReps); err != nil {
-			fmt.Fprintln(os.Stderr, "experiments:", err)
-			os.Exit(1)
-		}
-		delete(want, "benchfreq")
-		if len(want) == 0 {
-			return
-		}
-	}
-	// Same opt-in rule for the streaming-maintenance rig. The -bench-out /
-	// -bench-gate flags are shared, so name only one rig per invocation when
-	// using them.
-	if want["benchstream"] {
-		if err := runBenchStream(*benchOut, *benchGate, *benchReps); err != nil {
-			fmt.Fprintln(os.Stderr, "experiments:", err)
-			os.Exit(1)
-		}
-		delete(want, "benchstream")
-		if len(want) == 0 {
-			return
-		}
-	}
-
 	if err := run(cfg, selected); err != nil {
 		fmt.Fprintln(os.Stderr, "experiments:", err)
 		os.Exit(1)
 	}
 }
 
-// runBenchFreq measures the dense frequency kernel on the pinned workload
-// (see internal/experiments/benchfreq.go), optionally gates allocs/op
-// against a committed BENCH_freq.json, and optionally writes the fresh
-// document.
-func runBenchFreq(outPath, gatePath string, reps int) error {
-	doc, err := experiments.RunBenchFreq(experiments.BenchFreqOptions{Reps: reps})
-	if err != nil {
-		return err
+// parseOnly turns the -only value into a selection predicate. An empty
+// value selects every experiment; an unknown name is an error naming the
+// valid ones.
+func parseOnly(only string) (func(string) bool, error) {
+	if only == "" {
+		return func(string) bool { return true }, nil
 	}
-	fmt.Printf("benchfreq: %s\n  workload: %s\n", doc.Benchmark, doc.Workload)
-	fmt.Printf("  baseline %-48s %12d ns/op %8d allocs/op\n", doc.Baseline.Path, doc.Baseline.NsPerOp, doc.Baseline.AllocsPerOp)
-	for _, pt := range doc.Points {
-		fmt.Printf("  dense    workers=%-2d %37s %12d ns/op %8d allocs/op  %.2fx vs 1w  %.2fx vs baseline\n",
-			pt.Workers, "", pt.NsPerOp, pt.AllocsPerOp, pt.SpeedupVs1W, pt.SpeedupVsBaseline)
+	known := make(map[string]bool, len(experimentNames))
+	for _, name := range experimentNames {
+		known[name] = true
 	}
-	if gatePath != "" {
-		committed, err := experiments.ReadBenchFreq(gatePath)
-		if err != nil {
-			return err
+	want := map[string]bool{}
+	for _, name := range strings.Split(only, ",") {
+		name = strings.TrimSpace(name)
+		if !known[name] {
+			return nil, fmt.Errorf("-only: unknown experiment %q (valid: %s)", name, strings.Join(experimentNames, ", "))
 		}
-		if err := experiments.GateBenchFreq(committed, doc); err != nil {
-			return err
-		}
-		fmt.Printf("  gate: ok (allocs/op within 20%% of %s)\n", gatePath)
+		want[name] = true
 	}
-	if outPath != "" {
-		if err := experiments.WriteBenchFreq(outPath, doc); err != nil {
-			return err
-		}
-		fmt.Printf("  wrote %s\n", outPath)
-	}
-	return nil
-}
-
-// runBenchStream measures per-append index maintenance — the streaming
-// delta path vs a from-scratch rebuild (see
-// internal/experiments/benchstream.go) — optionally gates the delta path's
-// allocs/append against a committed BENCH_stream.json, and optionally
-// writes the fresh document.
-func runBenchStream(outPath, gatePath string, reps int) error {
-	doc, err := experiments.RunBenchStream(experiments.BenchStreamOptions{Reps: reps})
-	if err != nil {
-		return err
-	}
-	fmt.Printf("benchstream: %s\n  workload: %s\n", doc.Benchmark, doc.Workload)
-	fmt.Printf("  rebuild  %-48s %12d ns/append %8d allocs/append\n", doc.Rebuild.Path, doc.Rebuild.NsPerAppend, doc.Rebuild.AllocsPerAppend)
-	fmt.Printf("  delta    %-48s %12d ns/append %8d allocs/append  %.0fx vs rebuild\n",
-		doc.Delta.Path, doc.Delta.NsPerAppend, doc.Delta.AllocsPerAppend, doc.SpeedupVsRebuild)
-	if gatePath != "" {
-		committed, err := experiments.ReadBenchStream(gatePath)
-		if err != nil {
-			return err
-		}
-		if err := experiments.GateBenchStream(committed, doc); err != nil {
-			return err
-		}
-		fmt.Printf("  gate: ok (delta allocs/append within 20%% of %s)\n", gatePath)
-	}
-	if outPath != "" {
-		if err := experiments.WriteBenchStream(outPath, doc); err != nil {
-			return err
-		}
-		fmt.Printf("  wrote %s\n", outPath)
-	}
-	return nil
+	return func(name string) bool { return want[name] }, nil
 }
 
 func run(cfg experiments.Config, selected func(string) bool) error {

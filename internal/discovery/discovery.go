@@ -73,7 +73,7 @@ func Discover(l *event.Log, opts Options) ([]*pattern.Pattern, error) {
 		bySet[g.setKey()] = append(bySet[g.setKey()], g)
 	}
 
-	tix := pattern.NewTraceIndex(l)
+	eng := pattern.NewEngine(pattern.NewTraceIndex(l), 1)
 	var mined []*pattern.Pattern
 	for _, family := range bySet {
 		g0 := family[0]
@@ -88,7 +88,7 @@ func Discover(l *event.Log, opts Options) ([]*pattern.Pattern, error) {
 			if err != nil {
 				return nil, fmt.Errorf("discovery: %w", err)
 			}
-			if tix.Frequency(andP) >= opts.MinSupport {
+			if eng.Frequency(andP) >= opts.MinSupport {
 				mined = append(mined, andP)
 				continue
 			}
@@ -113,7 +113,7 @@ func Discover(l *event.Log, opts Options) ([]*pattern.Pattern, error) {
 	}
 
 	mined = dropSubsumed(mined)
-	rankPatterns(mined, tix)
+	rankPatterns(mined, eng)
 	if len(mined) > opts.MaxPatterns {
 		mined = mined[:opts.MaxPatterns]
 	}
@@ -296,10 +296,10 @@ func subset(a, b map[event.ID]bool) bool {
 // rankPatterns orders patterns most-discriminative first: larger patterns
 // first, then fewer allowed orders (a SEQ pins more than an AND), then
 // higher frequency; ties by textual order for determinism.
-func rankPatterns(ps []*pattern.Pattern, tix *pattern.TraceIndex) {
+func rankPatterns(ps []*pattern.Pattern, eng *pattern.Engine) {
 	freq := make(map[*pattern.Pattern]float64, len(ps))
 	for _, p := range ps {
-		freq[p] = tix.Frequency(p)
+		freq[p] = eng.Frequency(p)
 	}
 	sort.Slice(ps, func(i, j int) bool {
 		a, b := ps[i], ps[j]

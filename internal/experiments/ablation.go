@@ -139,7 +139,7 @@ func AblationTraceIndex(cfg Config, repetitions int) (IndexTiming, error) {
 	if err != nil {
 		return IndexTiming{}, err
 	}
-	ix := pattern.NewTraceIndex(g.L1)
+	eng := pattern.NewEngine(pattern.NewTraceIndex(g.L1), 1)
 	var t IndexTiming
 	start := time.Now()
 	for r := 0; r < repetitions; r++ {
@@ -151,7 +151,7 @@ func AblationTraceIndex(cfg Config, repetitions int) (IndexTiming, error) {
 	start = time.Now()
 	for r := 0; r < repetitions; r++ {
 		for _, p := range in.patterns {
-			ix.Frequency(p)
+			eng.Frequency(p)
 		}
 	}
 	t.Indexed = time.Since(start)

@@ -197,7 +197,7 @@ func BuildProblem(l1, l2 *event.Log, user []*pattern.Pattern, mode Mode) (*Probl
 	}
 	pr.n2pad = l2g.NumEvents()
 	pr.G2 = depgraph.Build(l2g)
-	tix1 := pattern.NewTraceIndex(l1)
+	eng1 := pattern.NewEngine(pattern.NewTraceIndex(l1), 1)
 	pr.fc2 = pattern.NewFrequencyCache(pattern.NewTraceIndex(l2g))
 
 	// Vertex patterns: every event of V1 (except in user-patterns-only mode).
@@ -246,7 +246,7 @@ func BuildProblem(l1, l2 *event.Log, user []*pattern.Pattern, mode Mode) (*Probl
 					return nil, fmt.Errorf("match: user pattern %d uses event %d outside L1's alphabet", i, v)
 				}
 			}
-			f1 := tix1.Frequency(p)
+			f1 := eng1.Frequency(p)
 			if f1 == 0 {
 				continue // cannot contribute: Sim(0, x) is 0 for every x
 			}

@@ -55,10 +55,10 @@ func BenchmarkFrequencyDirect(b *testing.B) {
 func BenchmarkFrequencyIndexed(b *testing.B) {
 	l := benchLog(8, 2000, 16)
 	p := must(ParseBind("SEQ(A,AND(B,C),D)", l.Alphabet))
-	ix := NewTraceIndex(l)
+	eng := NewEngine(NewTraceIndex(l), 1)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		ix.Frequency(p)
+		eng.Frequency(p)
 	}
 }
 

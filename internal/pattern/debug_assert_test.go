@@ -73,7 +73,7 @@ func TestParallelScanRunsAssertion(t *testing.T) {
 	if err != nil {
 		t.Fatalf("FrequencyContext: %v", err)
 	}
-	if want := ix.Frequency(p); f != want {
+	if want := p.Frequency(l); f != want {
 		t.Fatalf("parallel frequency %v, sequential %v", f, want)
 	}
 }

@@ -10,8 +10,6 @@ import "eventmatch/internal/event"
 // every append (see delta_test.go). The invariants that make the increments
 // cheap:
 //
-//   - Traces are append-only and the new trace's index is maximal, so
-//     appending it to a sorted posting list preserves sortedness.
 //   - Alphabets are append-only, so existing event ids never move; alphabet
 //     growth only adds all-zero rows at the end of the flat bitset array.
 //   - The flat bitset layout (event e owns words[e·nw:(e+1)·nw]) must be
@@ -28,27 +26,17 @@ func (ix *TraceIndex) Apply(d event.Delta) {
 	nEvents := ix.log.NumEvents()
 	nTraces := ix.log.NumTraces()
 	newNw := (nTraces + 63) / 64
-	if newNw != ix.nw || nEvents != len(ix.byEvent) {
+	if newNw != ix.nw || nEvents != ix.nEvents {
 		words := make([]uint64, nEvents*newNw)
-		for e := 0; e < len(ix.byEvent); e++ {
+		for e := 0; e < ix.nEvents; e++ {
 			copy(words[e*newNw:], ix.words[e*ix.nw:(e+1)*ix.nw])
 		}
-		ix.words = words
-		if nEvents > len(ix.byEvent) {
-			grown := make([][]int32, nEvents)
-			copy(grown, ix.byEvent)
-			ix.byEvent = grown
-		}
-		ix.nw = newNw
+		ix.words, ix.nw, ix.nEvents = words, newNw, nEvents
 	}
 	ti := d.TraceIndex
 	w, bit := ti>>6, uint64(1)<<(uint(ti)&63)
 	for _, e := range d.Events {
-		row := int(e) * ix.nw
-		if ix.words[row+w]&bit == 0 {
-			ix.words[row+w] |= bit
-			ix.byEvent[e] = append(ix.byEvent[e], int32(ti))
-		}
+		ix.words[int(e)*ix.nw+w] |= bit
 	}
 }
 

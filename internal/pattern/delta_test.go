@@ -51,7 +51,7 @@ func randomPatterns(rng *rand.Rand, pool, count int) []*Pattern {
 
 // The streaming differential property: for random event streams, after every
 // append the incremental TraceIndex/FrequencyCache state is bit-identical to
-// a from-scratch rebuild — posting lists, bitset words, candidate sets,
+// a from-scratch rebuild — event count, bitset words, candidate sets,
 // frequencies, and the pattern.index_skips telemetry all agree.
 func TestStreamDifferential(t *testing.T) {
 	for seed := int64(1); seed <= 4; seed++ {
@@ -74,6 +74,9 @@ func TestStreamDifferential(t *testing.T) {
 				cache.Invalidate(d.Events)
 
 				rebuilt := NewTraceIndex(l)
+				if ix.nEvents != rebuilt.nEvents || ix.nEvents != l.NumEvents() {
+					t.Fatalf("step %d: %d events, rebuild %d, log %d", step, ix.nEvents, rebuilt.nEvents, l.NumEvents())
+				}
 				if ix.nw != rebuilt.nw {
 					t.Fatalf("step %d: nw = %d, rebuild %d", step, ix.nw, rebuilt.nw)
 				}
@@ -83,20 +86,6 @@ func TestStreamDifferential(t *testing.T) {
 				for w := range ix.words {
 					if ix.words[w] != rebuilt.words[w] {
 						t.Fatalf("step %d: bitset word %d = %#x, rebuild %#x", step, w, ix.words[w], rebuilt.words[w])
-					}
-				}
-				if len(ix.byEvent) != len(rebuilt.byEvent) {
-					t.Fatalf("step %d: %d posting lists, rebuild %d", step, len(ix.byEvent), len(rebuilt.byEvent))
-				}
-				for v := range ix.byEvent {
-					a, b := ix.byEvent[v], rebuilt.byEvent[v]
-					if len(a) != len(b) {
-						t.Fatalf("step %d: event %d posting len %d, rebuild %d", step, v, len(a), len(b))
-					}
-					for i := range a {
-						if a[i] != b[i] {
-							t.Fatalf("step %d: event %d posting[%d] = %d, rebuild %d", step, v, i, a[i], b[i])
-						}
 					}
 				}
 
@@ -110,7 +99,7 @@ func TestStreamDifferential(t *testing.T) {
 				for pi, p := range pats {
 					ci := ix.Candidates(p.Events())
 					cr := rebuilt.Candidates(p.Events())
-					ref := rebuilt.CandidatesReference(p.Events())
+					ref := CandidatesReference(l, p.Events())
 					if len(ci) != len(cr) || len(ci) != len(ref) {
 						t.Fatalf("step %d pattern %d: candidates %v, rebuild %v, reference %v", step, pi, ci, cr, ref)
 					}
@@ -135,7 +124,7 @@ func TestStreamDifferential(t *testing.T) {
 				// the memoized count and re-normalize it; both must equal the
 				// reference frequency bit for bit.
 				for pi, p := range pats {
-					want := rebuilt.Frequency(p)
+					want := p.Frequency(l)
 					if got := cache.Frequency(p); got != want {
 						t.Fatalf("step %d pattern %d: cache f = %v, want %v", step, pi, got, want)
 					}
@@ -205,13 +194,13 @@ func TestFrequencyCacheInvalidateTargeted(t *testing.T) {
 	if n := cache.Invalidate(delta.Events); n != 1 {
 		t.Fatalf("Invalidate dropped %d entries, want 1", n)
 	}
-	if got, want := cache.Frequency(pAB), ix.Frequency(pAB); got != want {
+	if got, want := cache.Frequency(pAB), pAB.Frequency(l); got != want {
 		t.Fatalf("f(AB) = %v, want %v", got, want)
 	}
 	if h, m := cache.Stats(); h != 1 || m != 2 {
 		t.Fatalf("after disjoint append hits/misses = %d/%d, want 1/2 (AB entry must survive)", h, m)
 	}
-	if got, want := cache.Frequency(pCD), ix.Frequency(pCD); got != want {
+	if got, want := cache.Frequency(pCD), pCD.Frequency(l); got != want {
 		t.Fatalf("f(CD) = %v, want %v", got, want)
 	}
 	if h, m := cache.Stats(); h != 1 || m != 3 {
@@ -259,7 +248,7 @@ func TestFrequencyCacheEvictUnlinks(t *testing.T) {
 		t.Fatalf("dropped = %d", dropped)
 	}
 	for _, p := range pats {
-		if got, want := cache.Frequency(p), ix.Frequency(p); got != want {
+		if got, want := cache.Frequency(p), p.Frequency(l); got != want {
 			t.Fatalf("post-evict f = %v, want %v", got, want)
 		}
 	}

@@ -1,12 +1,13 @@
 // Differential tests for the dense-ID frequency kernel: the bitset path
-// must agree bit-for-bit with the preserved pre-bitset reference path
-// (reference.go) on every input, and the index-only skip must fire without
+// must agree bit-for-bit with the pre-bitset reference path kept as the
+// test oracle (reference_test.go) on every input, and the index-only skip must fire without
 // scanning a single trace.
 package pattern
 
 import (
 	"context"
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -47,9 +48,9 @@ func TestDenseMatchesReferenceProperty(t *testing.T) {
 		for trial := 0; trial < 4; trial++ {
 			p := randomPattern(rng, pool, 1)
 			ref := NewReferencePattern(p)
-			want := ix.FrequencyReference(ref)
-			if ix.Frequency(p) != want {
-				t.Logf("seed %d: TraceIndex.Frequency != reference", seed)
+			want := FrequencyReference(l, ref)
+			if p.Frequency(l) != want {
+				t.Logf("seed %d: Pattern.Frequency != reference", seed)
 				return false
 			}
 			for _, w := range []int{1, 3, 8} {
@@ -80,7 +81,7 @@ func TestCandidatesMatchReferenceProperty(t *testing.T) {
 			for _, pi := range rng.Perm(n)[:k] {
 				events = append(events, event.ID(pi))
 			}
-			got, want := ix.Candidates(events), ix.CandidatesReference(events)
+			got, want := ix.Candidates(events), CandidatesReference(l, events)
 			if len(got) != len(want) {
 				t.Logf("seed %d: len %d != %d", seed, len(got), len(want))
 				return false
@@ -132,13 +133,12 @@ func TestCandidatesMultiWord(t *testing.T) {
 			t.Fatalf("candidate %d = %d, want %d", i, got[i], want[i])
 		}
 	}
-	// Bits must agree with the posting lists word-for-word.
+	// Each event's bitset must hold exactly the traces a scan of the log
+	// finds it in.
 	for _, v := range []event.ID{a, b, c} {
-		bits := ix.Bits(v)
-		for _, ti := range ix.Traces(v) {
-			if bits[ti>>6]&(1<<(uint(ti)&63)) == 0 {
-				t.Fatalf("event %d: trace %d in posting list but not bitset", v, ti)
-			}
+		got, want := appendSetBits(nil, ix.Bits(v)), postingList(l, v)
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("event %d: bitset traces %v, log scan %v", v, got, want)
 		}
 	}
 }

@@ -168,8 +168,8 @@ func (e *Engine) Frequency(p *Pattern) float64 {
 // traces that contain all of p's events, sharded across the engine's
 // workers. On cancellation mid-scan it returns (0, ctx.Err()); a completed
 // scan is never affected by a cancellation that arrives after its last
-// trace. The returned frequency is identical to TraceIndex.Frequency for
-// every worker count.
+// trace. The returned frequency is bit-identical at every worker count,
+// and equal to Pattern.Frequency's unindexed scan of the same log.
 func (e *Engine) FrequencyContext(ctx context.Context, p *Pattern) (float64, error) {
 	n, err := e.CountContext(ctx, p)
 	if err != nil {

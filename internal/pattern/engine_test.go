@@ -42,8 +42,9 @@ func testPatterns(t *testing.T, l *event.Log, extra []string) []*pattern.Pattern
 }
 
 // TestEngineMatchesSequential asserts that the parallel engine returns
-// exactly the frequencies of the sequential TraceIndex scan, for every
-// worker count, on randomized logs of several shapes.
+// exactly the frequencies of the unindexed sequential scan
+// (Pattern.Frequency), for every worker count, on randomized logs of
+// several shapes.
 func TestEngineMatchesSequential(t *testing.T) {
 	cases := []struct {
 		name string
@@ -76,7 +77,7 @@ func TestEngineMatchesSequential(t *testing.T) {
 			ix := pattern.NewTraceIndex(tc.log)
 			want := make([]float64, len(tc.pats))
 			for i, p := range tc.pats {
-				want[i] = ix.Frequency(p)
+				want[i] = p.Frequency(tc.log)
 			}
 			for _, workers := range []int{1, 2, 4, 8} {
 				eng := pattern.NewEngine(ix, workers)
@@ -110,7 +111,7 @@ func TestEngineCancellation(t *testing.T) {
 	g := gen.LargeSynthetic(4, 5, 2000)
 	ix := pattern.NewTraceIndex(g.L1)
 	p := pattern.MustSeq(pattern.Single(0), pattern.Single(1), pattern.Single(2))
-	want := ix.Frequency(p)
+	want := p.Frequency(g.L1)
 
 	for _, workers := range []int{1, 4} {
 		eng := pattern.NewEngine(ix, workers)
@@ -154,7 +155,7 @@ func TestFrequencyCacheConcurrent(t *testing.T) {
 	ps := testPatterns(t, g.L1, g.Patterns)
 	want := make([]float64, len(ps))
 	for i, p := range ps {
-		want[i] = c.Engine().Index().Frequency(p)
+		want[i] = p.Frequency(g.L1)
 	}
 
 	const goroutines = 8
@@ -195,7 +196,7 @@ func TestFrequencyCacheContext(t *testing.T) {
 	g := gen.RealLike(6, 300)
 	c := pattern.NewFrequencyCache(pattern.NewTraceIndex(g.L1))
 	p := pattern.MustSeq(pattern.Single(0), pattern.Single(1))
-	want := c.Engine().Index().Frequency(p)
+	want := p.Frequency(g.L1)
 
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()

@@ -33,7 +33,7 @@ func ExampleParse() {
 	// f(p) = 0.67
 }
 
-// The Engine evaluates the same frequencies as TraceIndex.Frequency, with
+// The Engine evaluates the same frequencies at every worker count, with
 // the trace scan sharded across a worker pool; partial counts are integers
 // merged by summation, so the result is bit-identical for every worker
 // count.
@@ -53,7 +53,7 @@ func ExampleEngine() {
 		panic(err)
 	}
 	fmt.Printf("parallel   f(SEQ(A,D)) = %.2f\n", f)
-	fmt.Printf("sequential f(SEQ(A,D)) = %.2f\n", ix.Frequency(p))
+	fmt.Printf("sequential f(SEQ(A,D)) = %.2f\n", pattern.NewEngine(ix, 1).Frequency(p))
 	// Output:
 	// parallel   f(SEQ(A,D)) = 0.75
 	// sequential f(SEQ(A,D)) = 0.75

@@ -3,7 +3,6 @@ package pattern
 import (
 	"context"
 	"math/bits"
-	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -76,23 +75,16 @@ func (ix *PatternIndex) NewlyCompleted(a event.ID, mapped func(event.ID) bool) [
 }
 
 // TraceIndex is the inverted index It of Section 3.2.3: for each event, the
-// set of traces (indices into the log) containing it.
-//
-// Two representations are kept side by side, built in one pass over the log:
-//
-//   - a sorted posting list per event ([]int32 of trace indices), served by
-//     Traces — the classic inverted-index form, still the right shape for
-//     consumers that walk one event's traces in order;
-//   - a trace-membership bitset per event, served by Bits — the dense-kernel
-//     form the frequency engine scans with.
+// set of traces (indices into the log) containing it, stored as a
+// trace-membership bitset per event and served by Bits.
 //
 // Bitset word layout: all bitsets share one flat []uint64 backing array of
 // NumEvents×nw words, where nw = ⌈NumTraces/64⌉. Event e owns the word range
 // [e·nw, (e+1)·nw); within it, trace t is bit t%64 of word t/64 (bit 0 =
 // least significant). The flat layout keeps an event's words contiguous, so
 // the ∩It(v) candidate intersection of Section 3.2.3 is a straight word-wise
-// AND with popcount — k·nw word operations regardless of how long the
-// posting lists are — and an empty intersection is detected without ever
+// AND with popcount — k·nw word operations regardless of how many traces
+// contain each event — and an empty intersection is detected without ever
 // touching a trace (the index-only fast path, surfaced as the
 // pattern.index_skips counter by Engine).
 //
@@ -101,9 +93,9 @@ func (ix *PatternIndex) NewlyCompleted(a event.ID, mapped func(event.ID) bool) [
 // IDs yield empty results.
 type TraceIndex struct {
 	log     *event.Log
-	byEvent [][]int32 // sorted posting lists
-	words   []uint64  // flat bitsets: event e owns words[e*nw : (e+1)*nw]
-	nw      int       // words per event bitset = ceil(NumTraces/64)
+	words   []uint64 // flat bitsets: event e owns words[e*nw : (e+1)*nw]
+	nw      int      // words per event bitset = ceil(NumTraces/64)
+	nEvents int      // events with a bitset row
 }
 
 // NewTraceIndex builds the trace index for a log.
@@ -112,18 +104,14 @@ func NewTraceIndex(l *event.Log) *TraceIndex {
 	nw := (l.NumTraces() + 63) / 64
 	ix := &TraceIndex{
 		log:     l,
-		byEvent: make([][]int32, nEvents),
 		words:   make([]uint64, nEvents*nw),
 		nw:      nw,
+		nEvents: nEvents,
 	}
 	for ti, t := range l.Traces {
 		w, bit := ti>>6, uint64(1)<<(uint(ti)&63)
 		for _, e := range t {
-			row := int(e) * nw
-			if ix.words[row+w]&bit == 0 {
-				ix.words[row+w] |= bit
-				ix.byEvent[e] = append(ix.byEvent[e], int32(ti))
-			}
+			ix.words[int(e)*nw+w] |= bit
 		}
 	}
 	return ix
@@ -132,20 +120,11 @@ func NewTraceIndex(l *event.Log) *TraceIndex {
 // Log returns the indexed log.
 func (ix *TraceIndex) Log() *event.Log { return ix.log }
 
-// Traces returns the sorted trace indices containing event v. The returned
-// slice must not be modified; events outside the alphabet yield nil.
-func (ix *TraceIndex) Traces(v event.ID) []int32 {
-	if uint(v) >= uint(len(ix.byEvent)) {
-		return nil
-	}
-	return ix.byEvent[v]
-}
-
 // Bits returns event v's trace-membership bitset: bit t%64 of word t/64 is
 // set iff trace t contains v. The returned slice aliases the index and must
 // not be modified; events outside the alphabet yield nil.
 func (ix *TraceIndex) Bits(v event.ID) []uint64 {
-	if uint(v) >= uint(len(ix.byEvent)) {
+	if uint(v) >= uint(ix.nEvents) {
 		return nil
 	}
 	return ix.words[int(v)*ix.nw : (int(v)+1)*ix.nw]
@@ -197,40 +176,6 @@ func appendSetBits(dst []int32, words []uint64) []int32 {
 		}
 	}
 	return dst
-}
-
-// Candidates returns the sorted trace indices containing every given event —
-// the ∩ It(v) of Section 3.2.3, computed as a word-wise AND over the events'
-// trace bitsets followed by a set-bit walk. An empty intersection (including
-// events outside the alphabet) yields nil. Each call allocates its result;
-// the frequency engine uses pooled scratch buffers instead (see Engine).
-func (ix *TraceIndex) Candidates(events []event.ID) []int32 {
-	if ix.nw == 0 {
-		return nil
-	}
-	scratch := make([]uint64, ix.nw)
-	n := ix.intersectInto(scratch, events)
-	if n == 0 {
-		return nil
-	}
-	return appendSetBits(make([]int32, 0, n), scratch)
-}
-
-// Frequency computes f(p) over the indexed log, scanning only the traces
-// that contain all of p's events. An empty candidate intersection returns 0
-// without touching any trace.
-func (ix *TraceIndex) Frequency(p *Pattern) float64 {
-	total := ix.log.NumTraces()
-	if total == 0 {
-		return 0
-	}
-	n := 0
-	for _, ti := range ix.Candidates(p.Events()) {
-		if p.MatchesTrace(ix.log.Traces[ti]) {
-			n++
-		}
-	}
-	return float64(n) / float64(total)
 }
 
 // cacheShards is the number of independently locked segments of a
@@ -628,54 +573,4 @@ func appendInt(b []byte, v int) []byte {
 		v /= 10
 	}
 	return append(b, tmp[i:]...)
-}
-
-// intersect32 merges two sorted posting lists; retained for the reference
-// evaluation path (see reference.go) and differential tests.
-func intersect32(a, b []int32) []int32 {
-	var out []int32
-	i, j := 0, 0
-	for i < len(a) && j < len(b) {
-		switch {
-		case a[i] < b[j]:
-			i++
-		case a[i] > b[j]:
-			j++
-		default:
-			out = append(out, a[i])
-			i++
-			j++
-		}
-	}
-	return out
-}
-
-// CandidatesReference computes ∩It(v) by sorted-posting-list merge — the
-// pre-bitset implementation, retained as the differential-testing baseline
-// for Candidates. Production code paths use Candidates.
-func (ix *TraceIndex) CandidatesReference(events []event.ID) []int32 {
-	if len(events) == 0 {
-		return nil
-	}
-	// Intersect starting from the rarest list to keep the work proportional
-	// to the smallest posting list.
-	lists := make([][]int32, len(events))
-	for i, v := range events {
-		lists[i] = ix.Traces(v)
-		if len(lists[i]) == 0 {
-			return nil
-		}
-	}
-	sort.Slice(lists, func(i, j int) bool { return len(lists[i]) < len(lists[j]) })
-	acc := lists[0]
-	for _, l := range lists[1:] {
-		acc = intersect32(acc, l)
-		if len(acc) == 0 {
-			return nil
-		}
-	}
-	// acc may alias lists[0]; copy so callers can hold it safely.
-	out := make([]int32, len(acc))
-	copy(out, acc)
-	return out
 }

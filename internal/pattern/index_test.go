@@ -60,22 +60,35 @@ func TestTraceIndex(t *testing.T) {
 	l := event.FromStrings("A B C", "B C", "A C", "C")
 	ix := NewTraceIndex(l)
 	a := l.Alphabet
-	if got := ix.Traces(a.Lookup("A")); !reflect.DeepEqual(got, []int32{0, 2}) {
-		t.Errorf("Traces(A) = %v", got)
+	A, C := a.Lookup("A"), a.Lookup("C")
+	if got := ix.Candidates([]event.ID{A}); !reflect.DeepEqual(got, []int32{0, 2}) {
+		t.Errorf("Candidates(A) = %v", got)
 	}
-	if got := ix.Traces(a.Lookup("C")); !reflect.DeepEqual(got, []int32{0, 1, 2, 3}) {
-		t.Errorf("Traces(C) = %v", got)
+	if got := ix.Candidates([]event.ID{C}); !reflect.DeepEqual(got, []int32{0, 1, 2, 3}) {
+		t.Errorf("Candidates(C) = %v", got)
 	}
-	if got := ix.Traces(99); got != nil {
-		t.Errorf("Traces(out-of-range) = %v, want nil", got)
+	if got := ix.Bits(A); !reflect.DeepEqual(got, []uint64{0b0101}) {
+		t.Errorf("Bits(A) = %#b", got)
+	}
+	if got := ix.Bits(C); !reflect.DeepEqual(got, []uint64{0b1111}) {
+		t.Errorf("Bits(C) = %#b", got)
+	}
+	if got := ix.Bits(99); got != nil {
+		t.Errorf("Bits(out-of-range) = %v, want nil", got)
+	}
+	if got := ix.Candidates([]event.ID{99}); got != nil {
+		t.Errorf("Candidates(out-of-range) = %v, want nil", got)
 	}
 }
 
 func TestTraceIndexDuplicatesInTrace(t *testing.T) {
 	l := event.FromStrings("A A A")
 	ix := NewTraceIndex(l)
-	if got := ix.Traces(0); !reflect.DeepEqual(got, []int32{0}) {
-		t.Errorf("Traces(A) = %v, want [0] once", got)
+	if got := ix.Candidates([]event.ID{0}); !reflect.DeepEqual(got, []int32{0}) {
+		t.Errorf("Candidates(A) = %v, want [0] once", got)
+	}
+	if got := ix.Bits(0); !reflect.DeepEqual(got, []uint64{1}) {
+		t.Errorf("Bits(A) = %#b, want 0b1", got)
 	}
 }
 
@@ -104,7 +117,7 @@ func TestIndexedFrequencyMatchesDirect(t *testing.T) {
 	ix := NewTraceIndex(l)
 	for _, src := range []string{"A", "SEQ(A,B)", "AND(B,C)", "SEQ(A,AND(B,C),D)"} {
 		p := must(ParseBind(src, l.Alphabet))
-		if got, want := ix.Frequency(p), p.Frequency(l); got != want {
+		if got, want := NewEngine(ix, 1).Frequency(p), p.Frequency(l); got != want {
 			t.Errorf("%s: indexed %v != direct %v", src, got, want)
 		}
 	}
@@ -173,7 +186,7 @@ func TestIndexedFrequencyProperty(t *testing.T) {
 			pool[i] = event.ID(i)
 		}
 		p := randomPattern(rng, pool, 1)
-		return ix.Frequency(p) == p.Frequency(l)
+		return NewEngine(ix, 1).Frequency(p) == p.Frequency(l)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 80}); err != nil {
 		t.Error(err)
