@@ -102,7 +102,7 @@ func main() {
 	flag.StringVar(&o.patternsFile, "patterns", "", "file of complex patterns over LOG1's events")
 	flag.DurationVar(&o.timeout, "timeout", 60*time.Second, "search budget (0 = unlimited)")
 	flag.IntVar(&o.maxFrontier, "max-frontier", 0, "beam-prune the exact frontier to this many nodes (0 = unbounded)")
-	flag.IntVar(&o.workers, "workers", 0, "parallel search goroutines (0 = one per CPU, 1 = sequential)")
+	flag.IntVar(&o.workers, "workers", 0, "search and scan goroutines (0 = one per CPU, 1 = the main goroutine only)")
 	flag.BoolVar(&o.lenient, "lenient", false, "skip malformed log rows/events instead of failing")
 	flag.BoolVar(&o.stats, "stats", false, "print search statistics")
 	flag.StringVar(&o.dotFile, "dot", "", "write a Graphviz mapping rendering to this file")
@@ -276,7 +276,6 @@ func readLog(path string, o cliOptions, reg *eventmatch.TelemetryRegistry) (l *e
 		ro.Lenient = true
 		ro.MaxTraceLen = lenientMaxTraceLen
 		ro.MaxLogBytes = lenientMaxLogBytes
-		ro.Workers = cliWorkers(o.workers)
 	}
 	l, rep, err := eventmatch.ReadLogFileReport(path, ro)
 	if err != nil {

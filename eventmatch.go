@@ -168,15 +168,15 @@ type Config struct {
 	// exact algorithms use it.
 	MaxFrontier int
 
-	// Workers parallelizes the search across this many goroutines:
-	// candidate expansions (A*), candidate scorings (the advanced
-	// heuristic) and the underlying pattern-frequency trace scans are
-	// sharded over a worker pool. 0 or 1 runs fully sequentially; a
-	// negative value selects one worker per available CPU. The mapping and
-	// score are identical for every value — parallel candidates are laid
-	// out and selected in the sequential order — so Workers trades nothing
-	// but goroutines for wall-clock time. Only the pattern-based
-	// algorithms (exact, heuristics) use it.
+	// Workers sizes the pool the search and its pattern-frequency trace
+	// scans run on: the children of each A* expansion, the candidate
+	// scorings of each advanced-heuristic round and large trace scans are
+	// spread over this many goroutines. Every value runs the same code; 0
+	// or 1 runs it on the calling goroutine, and a negative value selects
+	// one worker per available CPU. The mapping and score are identical for
+	// every value — candidates are laid out and selected in a fixed order —
+	// so Workers trades nothing but goroutines for wall-clock time. Only
+	// the pattern-based algorithms (exact, heuristics) use it.
 	Workers int
 
 	// Telemetry, when non-nil, receives fine-grained effort counters from
@@ -190,7 +190,7 @@ type Config struct {
 }
 
 // resolveWorkers maps the public Workers convention (negative = one per
-// CPU) to the internal one (a concrete count; 0/1 = sequential).
+// CPU) to the internal one (a concrete count; 0/1 = the calling goroutine).
 func resolveWorkers(w int) int {
 	if w < 0 {
 		return runtime.GOMAXPROCS(0)

@@ -6,18 +6,12 @@
 // dense ids; names only matter at the I/O boundary. This mirrors the paper's
 // setting where event names are opaque strings ("FH", "3", ...) whose text
 // carries no matching signal.
-//
-// Whole-log statistics (per-event frequencies, trace-length summaries) have
-// parallel variants — ParallelFrequency, ParallelSummarize — that shard the
-// trace slice across workers and merge integer partial counts, so their
-// results are bit-identical to the sequential ones.
 package event
 
 import (
 	"fmt"
 	"sort"
 	"strings"
-	"sync"
 
 	"eventmatch/internal/telemetry"
 )
@@ -373,60 +367,15 @@ func (l *Log) RegisterTelemetry(reg *telemetry.Registry, prefix string) {
 // Frequency returns, for each event id, the fraction of traces containing it
 // at least once — the paper's normalized vertex frequency f(v,v).
 func (l *Log) Frequency() []float64 {
-	return l.normalizeCounts(countEvents(l.Traces, l.Alphabet.Len()))
-}
-
-// ParallelFrequency is Frequency with the trace scan sharded across workers
-// goroutines (workers <= 1, or a log too small to pay for sharding, falls
-// back to the sequential scan). The per-shard counts are integers merged by
-// summation, so the result is bit-identical to Frequency for every worker
-// count.
-func (l *Log) ParallelFrequency(workers int) []float64 {
-	const minShard = 512 // traces per worker below which sharding is overhead
-	if workers > len(l.Traces)/minShard {
-		workers = len(l.Traces) / minShard
-	}
-	if workers <= 1 {
-		return l.Frequency()
-	}
 	nEvents := l.Alphabet.Len()
-	chunk := (len(l.Traces) + workers - 1) / workers
-	parts := make([][]int, workers)
-	var wg sync.WaitGroup
-	for g := 0; g < workers; g++ {
-		lo := g * chunk
-		hi := lo + chunk
-		if hi > len(l.Traces) {
-			hi = len(l.Traces)
-		}
-		if lo >= hi {
-			break
-		}
-		wg.Add(1)
-		go func(g, lo, hi int) {
-			defer wg.Done()
-			parts[g] = countEvents(l.Traces[lo:hi], nEvents)
-		}(g, lo, hi)
+	freq := make([]float64, nEvents)
+	if len(l.Traces) == 0 {
+		return freq
 	}
-	wg.Wait()
-	counts := make([]int, nEvents)
-	for _, part := range parts {
-		for i, c := range part {
-			counts[i] += c
-		}
-	}
-	return l.normalizeCounts(counts)
-}
-
-// countEvents counts, for each event id, the traces in ts containing it at
-// least once.
-func countEvents(ts []Trace, nEvents int) []int {
 	counts := make([]int, nEvents)
 	seen := make([]bool, nEvents)
-	for _, t := range ts {
-		for i := range seen {
-			seen[i] = false
-		}
+	for _, t := range l.Traces {
+		clear(seen)
 		for _, e := range t {
 			if !seen[e] {
 				seen[e] = true
@@ -434,71 +383,11 @@ func countEvents(ts []Trace, nEvents int) []int {
 			}
 		}
 	}
-	return counts
-}
-
-func (l *Log) normalizeCounts(counts []int) []float64 {
-	freq := make([]float64, len(counts))
-	if len(l.Traces) == 0 {
-		return freq
-	}
 	inv := 1 / float64(len(l.Traces))
 	for i, c := range counts {
 		freq[i] = float64(c) * inv
 	}
 	return freq
-}
-
-// ParallelSummarize is Summarize with the trace scan sharded across workers
-// goroutines. Sums, minima and maxima are merged over integer partials, so
-// the result is identical to Summarize for every worker count.
-func (l *Log) ParallelSummarize(workers int) Stats {
-	const minShard = 1024 // length bookkeeping is far cheaper than counting
-	if workers > len(l.Traces)/minShard {
-		workers = len(l.Traces) / minShard
-	}
-	if workers <= 1 {
-		return l.Summarize()
-	}
-	chunk := (len(l.Traces) + workers - 1) / workers
-	parts := make([]Stats, workers)
-	var wg sync.WaitGroup
-	for g := 0; g < workers; g++ {
-		lo := g * chunk
-		hi := lo + chunk
-		if hi > len(l.Traces) {
-			hi = len(l.Traces)
-		}
-		if lo >= hi {
-			break
-		}
-		wg.Add(1)
-		go func(g, lo, hi int) {
-			defer wg.Done()
-			shard := Log{Alphabet: l.Alphabet, Traces: l.Traces[lo:hi]}
-			parts[g] = shard.Summarize()
-		}(g, lo, hi)
-	}
-	wg.Wait()
-	s := Stats{Traces: len(l.Traces), Events: l.Alphabet.Len()}
-	first := true
-	for _, p := range parts {
-		if p.Traces == 0 {
-			continue
-		}
-		s.Occurrences += p.Occurrences
-		if first || p.MinLen < s.MinLen {
-			s.MinLen = p.MinLen
-		}
-		if p.MaxLen > s.MaxLen {
-			s.MaxLen = p.MaxLen
-		}
-		first = false
-	}
-	if s.Traces > 0 {
-		s.MeanLen = float64(s.Occurrences) / float64(s.Traces)
-	}
-	return s
 }
 
 // SortedNames returns the alphabet names in lexicographic order; useful for

@@ -178,17 +178,15 @@ func TestReadCSVStripsBOM(t *testing.T) {
 
 func TestReadTraceLinesStripsBOM(t *testing.T) {
 	src := "\ufeffA B\nB A\n"
-	for _, workers := range []int{0, 4} {
-		l, _, err := ReadTraceLinesReport(strings.NewReader(src), ReadOptions{Workers: workers})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got, want := l.Alphabet.Names(), []string{"A", "B"}; !reflect.DeepEqual(got, want) {
-			t.Errorf("workers=%d: alphabet = %q, want %q", workers, got, want)
-		}
-		if _, _, err := ReadTraceLinesReport(strings.NewReader(src), ReadOptions{Workers: workers, MaxLogBytes: int64(len(src) - 1)}); err == nil {
-			t.Errorf("workers=%d: the BOM must count against MaxLogBytes", workers)
-		}
+	l, err := ReadTraceLines(strings.NewReader(src))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := l.Alphabet.Names(), []string{"A", "B"}; !reflect.DeepEqual(got, want) {
+		t.Errorf("alphabet = %q, want %q", got, want)
+	}
+	if _, _, err := ReadTraceLinesReport(strings.NewReader(src), ReadOptions{MaxLogBytes: int64(len(src) - 1)}); err == nil {
+		t.Error("the BOM must count against MaxLogBytes")
 	}
 	// A BOM-only or shorter-than-a-BOM input is an empty log or a plain name.
 	for src, want := range map[string][]string{"\ufeff": {}, "\xef\xbb": {"\xef\xbb"}, "A": {"A"}} {

@@ -11,10 +11,8 @@
 // paper's setting (heterogeneous enterprise event logs) implies ingesting
 // logs from whatever shape each source system emits.
 //
-// The trace-lines reader can tokenize lines on a worker pool
-// (ReadOptions.Workers); assembly stays sequential, so the resulting log,
-// report and errors are identical to a sequential read. The CSV and XES
-// readers are stream-stateful and always sequential.
+// Every reader streams its input once, sequentially, on the caller's
+// goroutine.
 package logio
 
 import (
@@ -39,28 +37,26 @@ func ReadTraceLines(r io.Reader) (*event.Log, error) {
 // ReadTraceLinesReport is ReadTraceLines with fault tolerance and resource
 // guards. In lenient mode oversized traces are skipped and a byte-limit hit
 // keeps the traces parsed so far; both are recorded in the report.
-// ReadOptions.Workers > 1 shards the per-line tokenization across that many
-// goroutines; the result is identical to the sequential read.
 func ReadTraceLinesReport(r io.Reader, opts ReadOptions) (*event.Log, ReadReport, error) {
-	if opts.Workers > 1 {
-		return readTraceLinesParallel(r, opts)
-	}
 	var rep ReadReport
 	l := event.NewLog()
 	br := skipBOM(guardReader(r, opts))
-	lineNo := 0
+	lineNo := 0 // lines read so far
 	for {
 		line, err := br.ReadString('\n')
-		lineNo++
 		if err != nil && err != io.EOF {
 			// Non-EOF failure (I/O error, byte limit): the partial line is
 			// unreliable, so it is dropped rather than parsed as a trace.
 			if !opts.Lenient {
 				return nil, rep, fmt.Errorf("logio: %w", err)
 			}
-			rep.record(opts, ParseError{Line: lineNo, Trace: -1, Msg: err.Error()})
+			rep.record(opts, ParseError{Line: lineNo + 1, Trace: -1, Msg: err.Error()})
 			break
 		}
+		if line == "" {
+			break // EOF right after the last newline (or on empty input)
+		}
+		lineNo++
 		trimmed := strings.TrimSpace(line)
 		if trimmed != "" && !strings.HasPrefix(trimmed, "#") {
 			fields := strings.Fields(trimmed)

@@ -33,13 +33,9 @@ type ReadOptions struct {
 	// MaxErrors caps how many ParseErrors the report retains (the error
 	// *count* keeps running). 0 means DefaultMaxErrors.
 	MaxErrors int
-	// Workers shards the tokenization of trace lines across this many
-	// goroutines (trace-lines format only; the CSV and XES decoders are
-	// inherently stream-stateful). 0 or 1 reads sequentially. The produced
-	// log and report are identical for every value.
-	Workers int
 	// Telemetry, when non-nil, receives ingestion counters: logio.bytes
-	// (input bytes consumed), logio.lines (trace-lines format only),
+	// (input bytes consumed), logio.lines (lines read, trace-lines format
+	// only; a line cut short by an I/O error or the byte limit is not read),
 	// logio.traces, logio.events (both for logs delivered to the caller,
 	// including lenient partial reads), and logio.parse_errors. Nil disables
 	// all instrumentation at zero cost.

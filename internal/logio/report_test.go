@@ -3,8 +3,11 @@ package logio
 import (
 	"errors"
 	"fmt"
+	"reflect"
 	"strings"
 	"testing"
+
+	"eventmatch/internal/telemetry"
 )
 
 func TestReadCSVStrictFirstErrorHasLine(t *testing.T) {
@@ -219,6 +222,49 @@ func TestMaxLogBytes(t *testing.T) {
 	_, _, err = ReadCSVReport(strings.NewReader("c1,A\nc1,B\n"), ReadOptions{MaxLogBytes: 3})
 	if err == nil {
 		t.Error("strict csv over cap must fail")
+	}
+}
+
+// TestReadTraceLinesCountsLines pins the logio.lines counter to the lines
+// the reader actually read — the empty read that reports EOF after a final
+// newline is not a line — and the line numbers of the parse errors.
+func TestReadTraceLinesCountsLines(t *testing.T) {
+	cases := []struct {
+		name       string
+		in         string
+		opts       ReadOptions
+		lines      int64
+		errorLines []int
+	}{
+		{name: "terminated", in: "A B\nB A\n", lines: 2},
+		{name: "unterminated", in: "A B\nB A", lines: 2},
+		{name: "empty", in: "", lines: 0},
+		{name: "comment and blank line", in: "# header\n\nA B\n", lines: 3},
+		{name: "oversized trace", in: "A B C\nD E\n", opts: ReadOptions{Lenient: true, MaxTraceLen: 2}, lines: 2, errorLines: []int{1}},
+		// The byte limit cuts line 2 short: it is reported, not read.
+		{name: "byte limit", in: "A B\nC D\nE F\n", opts: ReadOptions{Lenient: true, MaxLogBytes: 5}, lines: 1, errorLines: []int{2}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			reg := telemetry.NewRegistry()
+			opts := tc.opts
+			opts.Telemetry = reg
+			_, rep, err := ReadTraceLinesReport(strings.NewReader(tc.in), opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			snap := reg.Snapshot()
+			if got := snap.Counter("logio.lines"); got != tc.lines {
+				t.Errorf("logio.lines = %d, want %d", got, tc.lines)
+			}
+			var errorLines []int
+			for _, pe := range rep.Errors {
+				errorLines = append(errorLines, pe.Line)
+			}
+			if !reflect.DeepEqual(errorLines, tc.errorLines) {
+				t.Errorf("ParseError lines = %v, want %v", errorLines, tc.errorLines)
+			}
+		})
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"math"
+	"sync/atomic"
 	"time"
 
 	"eventmatch/internal/event"
@@ -23,12 +24,14 @@ func (pr *Problem) HeuristicAdvanced(opts Options) (Mapping, Stats, error) {
 
 // HeuristicAdvancedContext is HeuristicAdvanced under a caller context. The
 // heuristic is anytime: cancellation and budgets are polled inside the
-// anchoring, augmentation and repair inner loops (every few hundred
-// candidate evaluations, so one expensive round cannot overshoot
-// MaxDuration). On a stop mid-augmentation the current partial matching is
-// completed greedily; mid-repair the current (already complete) matching is
-// returned as-is. Either way the result carries Stats.Truncated instead of
-// an error.
+// anchoring and repair inner loops (every few hundred candidate
+// evaluations) and before every candidate scoring of an augmentation round,
+// so one expensive round cannot overshoot MaxDuration. The Progress and
+// Checkpoint hooks fire at those anchoring and repair poll sites and at
+// augmentation round boundaries. On a stop mid-augmentation the round is
+// discarded and the matching committed so far is completed greedily;
+// mid-repair the current (already complete) matching is returned as-is.
+// Either way the result carries Stats.Truncated instead of an error.
 func (pr *Problem) HeuristicAdvancedContext(ctx context.Context, opts Options) (Mapping, Stats, error) {
 	tele := pr.newSearchTelemetry(opts)
 	span := tele.advancedTime.Start()
@@ -112,65 +115,16 @@ func (pr *Problem) heuristicAdvanced(ctx context.Context, opts Options, tele *se
 		return pr.stripArtificial(snap), score
 	})
 
-rounds:
 	for round := 0; round < n; round++ {
 		if _, halt := stop.now(&st); halt {
 			break
 		}
 		tele.rounds.Inc()
-		if opts.Workers > 1 {
-			// Parallel round: trees and candidate scores are computed by the
-			// worker pool, the winning candidate is selected in sequential
-			// order, so the committed matching is identical to the
-			// sequential round for every worker count.
-			res := pr.parallelRound(theta, lx, ly, matchX, matchY, n1, n2, &st, opts, stop, tele)
-			if res.halted {
-				break rounds
-			}
-			if res.done {
-				break
-			}
-			matchX, matchY = res.matchX, res.matchY
-			lx, ly = res.lx, res.ly
-			continue
+		next, ok := pr.augmentRound(theta, lx, ly, matchX, matchY, n1, n2, &st, opts, stop, tele)
+		if !ok {
+			break // matching complete, or a budget fired mid-round
 		}
-		type candidate struct {
-			score          float64
-			matchX, matchY []int
-			lx, ly         []float64
-		}
-		var best *candidate
-		// Consider unmatched rows in the §3.1 expansion order (most patterns
-		// first): with strict-improvement tie-breaking below, score ties are
-		// resolved in favour of pattern-rich events, whose candidates carry
-		// the most evidence.
-		for _, u := range pr.rowOrder(n) {
-			if matchX[u] != -1 {
-				continue
-			}
-			st.Expanded++
-			tele.trees.Inc()
-			tlx, tly, way, freeCols := alternatingTree(u, theta, lx, ly, matchX, matchY, tele.relabels)
-			for _, endCol := range freeCols {
-				if _, halt := stop.every(&st); halt {
-					break rounds
-				}
-				st.Generated++
-				tele.augPaths.Inc()
-				mx := append([]int(nil), matchX...)
-				my := append([]int(nil), matchY...)
-				augment(mx, my, way, endCol)
-				score := pr.scorePadded(mx, n1, n2, opts.Bound)
-				if best == nil || score > best.score {
-					best = &candidate{score: score, matchX: mx, matchY: my, lx: tlx, ly: tly}
-				}
-			}
-		}
-		if best == nil {
-			break // all rows matched
-		}
-		matchX, matchY = best.matchX, best.matchY
-		lx, ly = best.lx, best.ly
+		matchX, matchY, lx, ly = next.matchX, next.matchY, next.lx, next.ly
 	}
 
 	m = NewMapping(n1)
@@ -232,6 +186,106 @@ rounds:
 	st.Elapsed = time.Since(start)
 	st.Score = pr.Distance(m)
 	return m, st, nil
+}
+
+// roundResult is the state one augmentation round of HeuristicAdvanced
+// commits: the augmented matching and the winning tree's labeling.
+type roundResult struct {
+	matchX, matchY []int
+	lx, ly         []float64
+}
+
+// augmentRound runs one augmentation round of HeuristicAdvancedContext
+// across opts.Workers goroutines. Phase 1 grows the maximal alternating tree
+// of every unmatched row (alternatingTree is a pure function of the round's
+// shared state). Phase 2 flattens the (row, free column) candidates in the
+// §3.1 row order — most patterns first — and charges the
+// generated-candidates budget. Phase 3 scores every candidate by g+h. The
+// winner is the first candidate attaining the maximum score, so score ties
+// go to pattern-rich rows, whose candidates carry the most evidence, and the
+// round is deterministic for every worker count.
+//
+// ok is false when the round commits nothing: every row is matched, no
+// augmenting candidate exists, or a budget fired. The deadline and the
+// caller's context are checked before each candidate is scored; a stop
+// discards the whole round and leaves its reason in stop.
+func (pr *Problem) augmentRound(theta [][]float64, lx, ly []float64, matchX, matchY []int, n1, n2 int, st *Stats, opts Options, stop *stopper, tele *searchTelemetry) (res roundResult, ok bool) {
+	n := len(lx)
+	var rows []int
+	for _, u := range pr.rowOrder(n) {
+		if matchX[u] == -1 {
+			rows = append(rows, u)
+		}
+	}
+	if len(rows) == 0 {
+		return res, false
+	}
+
+	type tree struct {
+		lx, ly   []float64
+		way      []int
+		freeCols []int
+	}
+	trees := make([]tree, len(rows))
+	tele.trees.Add(int64(len(rows)))
+	forEachIndex(opts.Workers, len(rows), func(i int) {
+		tlx, tly, way, freeCols := alternatingTree(rows[i], theta, lx, ly, matchX, matchY, tele.relabels)
+		trees[i] = tree{tlx, tly, way, freeCols}
+	})
+
+	type task struct {
+		row, endCol int // row indexes rows/trees
+	}
+	var tasks []task
+	for ri := range rows {
+		st.Expanded++
+		for _, endCol := range trees[ri].freeCols {
+			if opts.MaxGenerated > 0 && st.Generated >= opts.MaxGenerated {
+				stop.now(st) // records StopMaxGenerated
+				return res, false
+			}
+			st.Generated++
+			tele.augPaths.Inc()
+			tasks = append(tasks, task{ri, endCol})
+		}
+	}
+	if len(tasks) == 0 {
+		return res, false
+	}
+
+	scores := make([]float64, len(tasks))
+	var halted atomic.Bool
+	forEachIndex(opts.Workers, len(tasks), func(i int) {
+		if halted.Load() {
+			return
+		}
+		if stop.signaled() {
+			halted.Store(true)
+			return
+		}
+		t := tasks[i]
+		mx := append([]int(nil), matchX...)
+		my := append([]int(nil), matchY...)
+		augment(mx, my, trees[t.row].way, t.endCol)
+		scores[i] = pr.scorePadded(mx, n1, n2, opts.Bound)
+	})
+	if halted.Load() {
+		stop.now(st) // records the reason the scorers observed
+		return res, false
+	}
+
+	best := 0
+	for i := 1; i < len(tasks); i++ {
+		if scores[i] > scores[best] {
+			best = i
+		}
+	}
+	t := tasks[best]
+	res.matchX = append([]int(nil), matchX...)
+	res.matchY = append([]int(nil), matchY...)
+	augment(res.matchX, res.matchY, trees[t.row].way, t.endCol)
+	res.lx, res.ly = trees[t.row].lx, trees[t.row].ly
+	return res, true
 }
 
 // repair hill-climbs the complete mapping under the pattern normal distance

@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"sort"
+	"sync"
 	"time"
 
 	"eventmatch/internal/event"
@@ -38,13 +39,14 @@ type Options struct {
 	// a pruned search marks its result Stats.Truncated. 0 means unlimited.
 	MaxFrontier int
 
-	// Workers sets the parallel evaluation width: candidate expansions in
-	// A* and candidate scorings in HeuristicAdvanced are sharded across
-	// this many goroutines, and the problem's frequency cache scans traces
-	// with the same pool. 0 or 1 runs fully sequentially. Results are
-	// deterministic and identical to sequential mode for every value
-	// (candidates are laid out and selected in sequential order; only
-	// wall-clock-dependent truncation points can differ).
+	// Workers is the evaluation width: the children of each A* expansion
+	// and the alternating trees and candidate scorings of each
+	// HeuristicAdvanced round are spread over this many goroutines, and the
+	// problem's frequency cache scans traces with the same pool. It sizes
+	// the pool only; every value runs the same code, and 0 or 1 runs it on
+	// the calling goroutine. Results are deterministic and identical for
+	// every value (candidates are laid out and selected in id and row
+	// order; only wall-clock-dependent truncation points can differ).
 	Workers int
 
 	// Ablation switches (all false in normal operation).
@@ -60,9 +62,12 @@ type Options struct {
 	// Progress, when non-nil, receives Progress snapshots (effort counters
 	// and elapsed wall clock) while the search runs, at most one per
 	// ProgressEvery. The hook is invoked synchronously from the search
-	// goroutine at its cancellation poll sites, so it must be fast and must
-	// not block; copy the snapshot out and return. Long-running services use
-	// it to surface in-flight job progress without touching the search.
+	// goroutine at its cancellation poll sites — in A* at every pop, in
+	// HeuristicAdvanced at every augmentation round boundary and inside its
+	// anchoring and repair loops, in the greedy searches inside their
+	// candidate loops — so it must be fast and must not block; copy the
+	// snapshot out and return. Long-running services use it to surface
+	// in-flight job progress without touching the search.
 	Progress func(Progress)
 	// ProgressEvery is the minimum interval between Progress calls; zero or
 	// negative selects DefaultProgressEvery.
@@ -161,9 +166,10 @@ func (pr *Problem) AStar(opts Options) (Mapping, Stats, error) {
 // The search is anytime: if the context is canceled or a budget
 // (MaxDuration, MaxGenerated) runs out, the best frontier node is greedily
 // completed into a full mapping and returned with Stats.Truncated set —
-// never a nil result. MaxFrontier beam-prunes the open list to bound
-// memory; a pruned run also reports Truncated, since optimality can no
-// longer be proven.
+// never a nil result. The context and MaxDuration are polled at every pop;
+// MaxGenerated is charged before each expansion's children are built.
+// MaxFrontier beam-prunes the open list to bound memory; a pruned run also
+// reports Truncated, since optimality can no longer be proven.
 func (pr *Problem) AStarContext(ctx context.Context, opts Options) (Mapping, Stats, error) {
 	tele := pr.newSearchTelemetry(opts)
 	span := tele.astarTime.Start()
@@ -198,19 +204,20 @@ func (pr *Problem) astarSearch(ctx context.Context, opts Options, tele *searchTe
 	heap.Init(q)
 	pruned := false
 
-	// Checkpoint snapshots complete the most recently popped node — the best
-	// frontier node at that instant, the same base the anytime truncation
-	// path would use.
-	var ckptCur *node
-	stop.onSnapshot(pr.snapshotNode(func() *node { return ckptCur }, opts))
+	// ex.cur is the node being expanded. Checkpoint snapshots complete it —
+	// the best frontier node at the instant it was popped, the same base the
+	// anytime truncation path would use.
+	ex := getExpansion(pr, opts.Bound, tele, n2)
+	defer putExpansion(ex)
+	stop.onSnapshot(pr.snapshotNode(func() *node { return ex.cur }, opts))
 
 	for q.Len() > 0 {
-		cur := heap.Pop(q).(*node)
 		// The node popped one iteration ago is now referenced by nothing —
-		// its children copied its state, the checkpoint base moves to cur —
-		// so its backing arrays go back to the pool.
-		pr.nodes.put(ckptCur)
-		ckptCur = cur
+		// its children copied its state, the checkpoint base moves on — so
+		// its backing arrays go back to the pool.
+		pr.nodes.put(ex.cur)
+		ex.cur = heap.Pop(q).(*node)
+		cur := ex.cur
 		if cur.depth == depthGoal {
 			assertInjective("astar goal", cur.m)
 			st.Elapsed = time.Since(start)
@@ -223,62 +230,41 @@ func (pr *Problem) astarSearch(ctx context.Context, opts Options, tele *searchTe
 			}
 			return pr.stripArtificial(cur.m), st, nil
 		}
+		// Deadline and cancellation are polled once per pop, before any
+		// child of cur is built.
 		if reason, halt := stop.now(&st); halt {
 			heap.Push(q, cur) // cur is the best frontier node: keep it reachable
 			return pr.truncateAStar(q, opts, &st, reason, start)
 		}
 		st.Expanded++
 		tele.expanded.Inc()
-		a := pr.expandEvent(cur.depth, opts)
-		if opts.Workers > 1 {
-			// Parallel successor expansion: compute all children of cur at
-			// once, then push them in target order so the heap evolves
-			// exactly as in the sequential loop. The MaxGenerated budget is
-			// applied up front by truncating the target list to what the
-			// sequential loop would have generated before halting.
-			targets := make([]event.ID, 0, n2-cur.depth)
-			for b := 0; b < n2; b++ {
-				if !cur.used[b] {
-					targets = append(targets, event.ID(b))
-				}
+		targets := ex.targets[:0]
+		for b := 0; b < n2; b++ {
+			if !cur.used[b] {
+				targets = append(targets, event.ID(b))
 			}
-			truncated := false
-			if opts.MaxGenerated > 0 {
-				if rem := opts.MaxGenerated - st.Generated; rem < len(targets) {
-					if rem < 0 {
-						rem = 0
-					}
-					targets = targets[:rem]
-					truncated = true
-				}
+		}
+		// The MaxGenerated budget is charged up front: the target list is
+		// cut to what is left of it, and a cut list ends the search once its
+		// children are on the frontier.
+		budgetHit := false
+		if opts.MaxGenerated > 0 {
+			if rem := opts.MaxGenerated - st.Generated; rem < len(targets) {
+				targets = targets[:max(rem, 0)]
+				budgetHit = true
 			}
-			for _, child := range pr.expandBatch(cur, a, targets, opts.Bound, opts.Workers, tele) {
-				st.Generated++
-				heap.Push(q, child)
-			}
-			tele.generated.Add(int64(len(targets)))
-			if truncated {
-				reason, _ := stop.every(&st) // records StopMaxGenerated
-				heap.Push(q, cur)
-				return pr.truncateAStar(q, opts, &st, reason, start)
-			}
-			// Deadline/cancellation are polled at the next pop (the loop-top
-			// stop.now), the same place the sequential path lands after a
-			// fully expanded node.
-		} else {
-			for b := 0; b < n2; b++ {
-				if cur.used[b] {
-					continue
-				}
-				if reason, halt := stop.every(&st); halt {
-					heap.Push(q, cur)
-					return pr.truncateAStar(q, opts, &st, reason, start)
-				}
-				st.Generated++
-				tele.generated.Inc()
-				child := pr.expand(cur, a, event.ID(b), opts.Bound, tele)
-				heap.Push(q, child)
-			}
+		}
+		ex.a, ex.targets = pr.expandEvent(cur.depth, opts), targets
+		forEachIndex(opts.Workers, len(targets), ex.child)
+		for _, child := range ex.children[:len(targets)] {
+			heap.Push(q, child)
+		}
+		st.Generated += len(targets)
+		tele.generated.Add(int64(len(targets)))
+		if budgetHit {
+			reason, _ := stop.every(&st) // records StopMaxGenerated
+			heap.Push(q, cur)
+			return pr.truncateAStar(q, opts, &st, reason, start)
 		}
 		tele.frontierPeak.SetMax(int64(q.Len()))
 		if opts.MaxFrontier > 0 && q.Len() > opts.MaxFrontier {
@@ -290,6 +276,50 @@ func (pr *Problem) astarSearch(ctx context.Context, opts Options, tele *searchTe
 	}
 	st.Elapsed = time.Since(start)
 	return nil, st, errors.New("match: search space exhausted without a complete mapping")
+}
+
+// expansion is the fan-out scratch of one A* search. Every expansion runs
+// through it at every worker count: the unused targets of cur are listed in
+// id order, children[i] is built from targets[i] by child (on as many
+// goroutines as Options.Workers allows), and the search pushes the children
+// in that order, so the frontier evolves identically for every width.
+// Expansions are pooled with their buffers and their child closure, so a
+// search allocates none of this scratch once the pool is warm.
+type expansion struct {
+	pr       *Problem
+	bound    BoundKind
+	tele     *searchTelemetry
+	cur      *node    // the node being expanded
+	a        event.ID // the V1 event cur's children map
+	targets  []event.ID
+	children []*node
+	child    func(i int) // children[i] = the child of cur for a→targets[i]
+}
+
+var expansions sync.Pool // *expansion
+
+// getExpansion returns pooled scratch for one search over n2 targets.
+func getExpansion(pr *Problem, bound BoundKind, tele *searchTelemetry, n2 int) *expansion {
+	ex, _ := expansions.Get().(*expansion)
+	if ex == nil {
+		ex = &expansion{}
+		ex.child = func(i int) {
+			ex.children[i] = ex.pr.expand(ex.cur, ex.a, ex.targets[i], ex.bound, ex.tele)
+		}
+	}
+	ex.pr, ex.bound, ex.tele = pr, bound, tele
+	if cap(ex.children) < n2 {
+		ex.targets = make([]event.ID, 0, n2)
+		ex.children = make([]*node, n2)
+	}
+	return ex
+}
+
+// putExpansion recycles ex, dropping its references to the search.
+func putExpansion(ex *expansion) {
+	ex.pr, ex.tele, ex.cur = nil, nil, nil
+	clear(ex.children)
+	expansions.Put(ex)
 }
 
 // truncateAStar produces the anytime result when a budget fires mid-search:

@@ -18,8 +18,9 @@ import "sync"
 //   - Goal / result nodes are never recycled — their mapping escapes to the
 //     caller via stripArtificial, which works in place.
 //
-// The pool is a sync.Pool, so parallel expandBatch workers can draw from it
-// concurrently and memory is reclaimed under GC pressure rather than pinned.
+// The pool is a sync.Pool, so the goroutines of one A* expansion can draw
+// from it concurrently and memory is reclaimed under GC pressure rather
+// than pinned.
 type nodePool struct {
 	p sync.Pool
 }
@@ -44,10 +45,10 @@ func (np *nodePool) put(nd *node) {
 // boundPool recycles boundContext scratch for hBound. Every node's bound
 // refills the context's spectra from G2's precomputed tables, so a recycled
 // context allocates nothing once its slices have grown to G2's size. Like
-// nodePool it is a sync.Pool: each search goroutine (the sequential loop,
-// every expandBatch worker, every parallel Heuristic-Advanced scorer) holds
-// its own context for the length of one hBound call, and G2's tables are
-// only ever read.
+// nodePool it is a sync.Pool: each search goroutine (every A* expansion
+// worker, every Heuristic-Advanced scorer, the greedy searches) holds its
+// own context for the length of one hBound call, and G2's tables are only
+// ever read.
 type boundPool struct {
 	p sync.Pool
 }

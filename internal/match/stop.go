@@ -188,6 +188,14 @@ func (s *stopper) every(st *Stats) (string, bool) {
 	return s.now(st)
 }
 
+// signaled reports whether the caller's context is done or MaxDuration has
+// elapsed, without recording a reason or firing any hook. It reads only
+// fields fixed at construction, so concurrent workers may call it; the
+// search goroutine then records the verdict with now.
+func (s *stopper) signaled() bool {
+	return s.ctx.Err() != nil || (s.max > 0 && time.Since(s.start) > s.max)
+}
+
 // halted reports whether a previous poll already fired, without polling
 // again. Used after the work is done to decide whether the result must be
 // marked truncated: a deadline that expires only after the last piece of

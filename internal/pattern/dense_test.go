@@ -5,7 +5,6 @@
 package pattern
 
 import (
-	"context"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -169,18 +168,6 @@ func TestIndexOnlySkip(t *testing.T) {
 		t.Errorf("engine.traces_scanned = %d, want 0 (index-only path must not scan)", got)
 	}
 
-	// The batch path records skips too.
-	fs, err := eng.Frequencies(context.Background(), []*Pattern{p, p})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fs[0] != 0 || fs[1] != 0 {
-		t.Fatalf("batch frequencies = %v, want zeros", fs)
-	}
-	snap = reg.Snapshot()
-	if got := snap.Counter("pattern.index_skips"); got != 3 {
-		t.Errorf("pattern.index_skips after batch = %d, want 3", got)
-	}
 }
 
 // AND with more than 64 sub-patterns must fall back to the slice-based

@@ -6,7 +6,6 @@ import (
 	"runtime"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"eventmatch/internal/event"
 	"eventmatch/internal/telemetry"
@@ -99,7 +98,6 @@ type engineTelemetry struct {
 	matches       *telemetry.Counter // engine.trace_matches: candidate traces that matched
 	indexSkips    *telemetry.Counter // pattern.index_skips: evaluations resolved index-only (empty ∩It)
 	imbalance     *telemetry.Counter // engine.shard_imbalance_traces: Σ (largest − smallest shard)
-	queueWait     *telemetry.Timer   // engine.queue_wait: batch-worker startup-to-first-task latency
 	scanTime      *telemetry.Timer   // engine.scan_time: per-scan wall clock
 }
 
@@ -127,7 +125,6 @@ func (e *Engine) SetTelemetry(reg *telemetry.Registry) {
 		matches:       reg.Counter("engine.trace_matches"),
 		indexSkips:    reg.Counter("pattern.index_skips"),
 		imbalance:     reg.Counter("engine.shard_imbalance_traces"),
-		queueWait:     reg.Timer("engine.queue_wait"),
 		scanTime:      reg.Timer("engine.scan_time"),
 	})
 }
@@ -196,96 +193,11 @@ func (e *Engine) CountContext(ctx context.Context, p *Pattern) (int, error) {
 	return n, nil
 }
 
-// Frequencies evaluates f(p) for a batch of patterns, parallelizing across
-// patterns (each pattern's own scan stays sequential — one level of
-// parallelism, at the widest available grain). out[i] corresponds to ps[i],
-// so the result layout is deterministic. On cancellation it returns
-// (nil, ctx.Err()).
-func (e *Engine) Frequencies(ctx context.Context, ps []*Pattern) ([]float64, error) {
-	out := make([]float64, len(ps))
-	w := e.Workers()
-	if w > len(ps) {
-		w = len(ps)
-	}
-	if w <= 1 {
-		sc := e.getScratch()
-		defer e.putScratch(sc)
-		for i, p := range ps {
-			n, err := e.countPattern(ctx, p, sc, nil)
-			if err != nil {
-				return nil, err
-			}
-			out[i] = e.normalize(n)
-		}
-		return out, nil
-	}
-	var (
-		next     atomic.Int64
-		canceled atomic.Bool
-		wg       sync.WaitGroup
-	)
-	errs := make([]error, w)
-	tele := e.tele.Load()
-	enqueued := time.Now()
-	for g := 0; g < w; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			sc := e.getScratch()
-			defer e.putScratch(sc)
-			first := true
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(ps) || canceled.Load() {
-					return
-				}
-				if first {
-					first = false
-					if tele != nil {
-						// Queue wait: how long the batch's tasks sat enqueued
-						// before this worker picked up its first one.
-						tele.queueWait.Observe(time.Since(enqueued))
-					}
-				}
-				n, err := e.countPattern(ctx, ps[i], sc, &canceled)
-				if err != nil {
-					errs[g] = err
-					canceled.Store(true)
-					return
-				}
-				out[i] = e.normalize(n)
-			}
-		}(g)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-	return out, nil
-}
-
 func (e *Engine) normalize(count int) float64 {
 	if total := e.ix.log.NumTraces(); total > 0 {
 		return float64(count) / float64(total)
 	}
 	return 0
-}
-
-// countPattern evaluates one pattern's match count using sc's reusable
-// buffers, staying sequential (the batch paths parallelize across patterns
-// instead). An empty candidate intersection is resolved index-only and
-// recorded as pattern.index_skips.
-func (e *Engine) countPattern(ctx context.Context, p *Pattern, sc *scanScratch, canceled *atomic.Bool) (int, error) {
-	cand := e.candidates(sc, p.Events())
-	if len(cand) == 0 {
-		if tele := e.tele.Load(); tele != nil {
-			tele.indexSkips.Inc()
-		}
-		return 0, nil
-	}
-	return e.countRange(ctx, p, cand, canceled)
 }
 
 // countMatches counts the candidate traces matching p, sharding the

@@ -89,15 +89,6 @@ func TestEngineMatchesSequential(t *testing.T) {
 						t.Errorf("workers=%d pattern %d: Frequency = %v, want %v", workers, i, got, want[i])
 					}
 				}
-				got, err := eng.Frequencies(context.Background(), tc.pats)
-				if err != nil {
-					t.Fatalf("workers=%d: Frequencies: %v", workers, err)
-				}
-				for i := range want {
-					if got[i] != want[i] {
-						t.Errorf("workers=%d: Frequencies[%d] = %v, want %v", workers, i, got[i], want[i])
-					}
-				}
 			}
 		})
 	}
@@ -119,9 +110,6 @@ func TestEngineCancellation(t *testing.T) {
 		cancel()
 		if f, err := eng.FrequencyContext(ctx, p); err != context.Canceled || f != 0 {
 			t.Errorf("workers=%d pre-canceled: got (%v, %v), want (0, context.Canceled)", workers, f, err)
-		}
-		if _, err := eng.Frequencies(ctx, []*pattern.Pattern{p, p}); err == nil {
-			t.Errorf("workers=%d pre-canceled: Frequencies returned nil error", workers)
 		}
 	}
 
