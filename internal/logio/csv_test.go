@@ -76,6 +76,14 @@ func TestReadCSVParity(t *testing.T) {
 		{"many bad rows", "c1,A\nx\ny,z,w\n,\nc1,B\nq\n"},
 		{"unicode names", "c1,Überweisung\nc1,發票\nc2,發票\n"},
 		{"no trailing newline", "c1,A\nc1,B"},
+		{"line longer than the read buffer", "c1,A\nc1," + strings.Repeat("x", 5000) + "\n" + strings.Repeat("y", 4500) + ",B\nc1,C\n"},
+		{"quoted field across the read buffer", strings.Repeat("c1,A\n", 817) + "c1,\"" + strings.Repeat("q", 30) + "\"\"\nq\"\nc2,B\n"},
+		{"bare cr inside a field", "c1,A\rB\nc1,\"C\rD\"\nc1,E\n"},
+		{"bare cr before eof", "c1,A\nc1,B\r"},
+		{"blank crlf lines", "\r\n\r\ncase,activity\r\n\r\nc1,A\r\n\r\n\r\nc1,B\r\n"},
+		{"trailing comma", "case,activity,\nc1,A,\nc1,B\nc2,\n"},
+		{"quoted header", "\"case\",activity\nc1,A\n"},
+		{"quoted first field across lines", "c0,A\n\"c\n1\",B\n\"c\n1\",C\n\"c\n2\",D,E\n\"c\n3\",F\"x\n\"c\n1\",\"G\n"},
 	}
 	for _, in := range inputs {
 		for _, opts := range parityOptions {
@@ -200,41 +208,78 @@ func TestReadTraceLinesStripsBOM(t *testing.T) {
 	}
 }
 
-// largeCSV is the allocation gate's and benchmark's input: the two-block
-// Fig. 11 log with 2000 traces, 40,000 rows of CSV.
-func largeCSV(tb testing.TB) (data []byte, rows int) {
+// csvShapes are the benchmark's and allocation gates' inputs: the same
+// 40,000 rows of the two-block Fig. 11 log with 2000 traces, laid out as
+// WriteCSV writes them (grouped by case), with cases round-robin
+// (interleaved, so consecutive rows never share a case), and with every field
+// quoted and CRLF line ends (quoted-crlf).
+var csvShapes = []string{"grouped", "interleaved", "quoted-crlf"}
+
+func largeCSV(tb testing.TB, shape string) (data []byte, rows int) {
 	tb.Helper()
 	l := gen.LargeSynthetic(1, 2, 2000).L1
 	var buf bytes.Buffer
-	if err := WriteCSV(&buf, l); err != nil {
-		tb.Fatal(err)
+	switch shape {
+	case "grouped":
+		if err := WriteCSV(&buf, l); err != nil {
+			tb.Fatal(err)
+		}
+	case "interleaved":
+		buf.WriteString("case,activity\n")
+		for j, more := 0, true; more; j++ {
+			more = false
+			for i, t := range l.Traces {
+				if j < len(t) {
+					fmt.Fprintf(&buf, "c%d,%s\n", i+1, l.Alphabet.Name(t[j]))
+					more = true
+				}
+			}
+		}
+	case "quoted-crlf":
+		buf.WriteString("\"case\",\"activity\"\r\n")
+		for i, t := range l.Traces {
+			for _, e := range t {
+				fmt.Fprintf(&buf, "\"c%d\",\"%s\"\r\n", i+1, l.Alphabet.Name(e))
+			}
+		}
+	default:
+		tb.Fatalf("unknown CSV shape %q", shape)
 	}
 	return buf.Bytes(), l.TotalLength()
 }
 
-// TestReadCSVAllocsPerRow gates the reader's allocations: encoding/csv's
-// record string is the one allocation every row pays; the per-case id slices,
-// traces and new map keys must stay well under a second.
+// TestReadCSVAllocsPerRow gates the reader's allocations. No row allocates:
+// what remains is one string per new case or activity, the map and slice
+// growth, and the traces cut from one slab. The interleaved log checks the
+// same holds when consecutive rows never share a case.
 func TestReadCSVAllocsPerRow(t *testing.T) {
-	data, rows := largeCSV(t)
-	allocs := testing.AllocsPerRun(3, func() {
-		if _, err := ReadCSV(bytes.NewReader(data)); err != nil {
-			t.Fatal(err)
-		}
-	})
-	if perRow := allocs / float64(rows); perRow > 1.5 {
-		t.Errorf("ReadCSV: %.2f allocs per row over %d rows, want <= 1.5", perRow, rows)
+	for _, shape := range []string{"grouped", "interleaved"} {
+		t.Run(shape, func(t *testing.T) {
+			data, rows := largeCSV(t, shape)
+			allocs := testing.AllocsPerRun(3, func() {
+				if _, err := ReadCSV(bytes.NewReader(data)); err != nil {
+					t.Fatal(err)
+				}
+			})
+			if perRow := allocs / float64(rows); perRow > 0.1 {
+				t.Errorf("ReadCSV: %.3f allocs per row over %d rows, want <= 0.1", perRow, rows)
+			}
+		})
 	}
 }
 
 func BenchmarkReadCSV(b *testing.B) {
-	data, _ := largeCSV(b)
-	b.SetBytes(int64(len(data)))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := ReadCSV(bytes.NewReader(data)); err != nil {
-			b.Fatal(err)
-		}
+	for _, shape := range csvShapes {
+		b.Run(shape, func(b *testing.B) {
+			data, _ := largeCSV(b, shape)
+			b.SetBytes(int64(len(data)))
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := ReadCSV(bytes.NewReader(data)); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

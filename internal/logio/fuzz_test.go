@@ -44,6 +44,13 @@ func FuzzReadCSV(f *testing.F) {
 	f.Add("\"quoted\",value\n")
 	f.Add("c1,A\nc2,B\nc1,C\nc2,A\nc1,D\n")
 	f.Add("\ufeffcase,activity\r\nc1,\"A,B\"\r\nc1,B\"x\r\n")
+	f.Add("c1,A\nc1," + strings.Repeat("x", 5000) + "\nc1,B\n")
+	f.Add(strings.Repeat("c1,A\n", 817) + "c1,\"" + strings.Repeat("q", 30) + "\"\"\nq\"\n")
+	f.Add("c1,A\rB\nc1,\"C\rD\"\nc1,E\r")
+	f.Add("\r\n\r\ncase,activity\r\n\r\nc1,A\r\n")
+	f.Add("case,activity,\nc1,A,\nc1,B\n")
+	f.Add("\"case\",activity\nc1,A\n")
+	f.Add("\"c\n1\",B\n\"c\n2\",D,E\n\"c\n3\",F\"x\n")
 	f.Fuzz(func(t *testing.T, src string) {
 		for _, opts := range []ReadOptions{{}, {Lenient: true}, {Lenient: true, MaxTraceLen: 2}} {
 			if d := csvParityDiff(src, opts); d != "" {

@@ -3,7 +3,8 @@
 //   - trace lines (.log): one trace per line, whitespace-separated event
 //     names, '#' comments — the format used throughout the examples;
 //   - CSV (.csv): "case,activity" rows in timestamp order, the shape event
-//     data typically leaves an ERP system in;
+//     data typically leaves an ERP system in, tokenized in place with
+//     encoding/csv's grammar (RFC 4180 quoting, CRLF line ends);
 //   - a minimal XES subset (.xes): the XML interchange format of the process
 //     mining community, restricted to concept:name string attributes.
 //
@@ -12,16 +13,21 @@
 // logs from whatever shape each source system emits.
 //
 // Every reader streams its input once, sequentially, on the caller's
-// goroutine.
+// goroutine. DetectFormat picks the format from a file extension in any
+// letter case.
 package logio
 
 import (
+	"bytes"
 	"encoding/csv"
 	"encoding/xml"
 	"errors"
 	"fmt"
 	"io"
+	"path/filepath"
+	"slices"
 	"strings"
+	"unicode/utf8"
 
 	"eventmatch/internal/event"
 )
@@ -114,29 +120,34 @@ func ReadCSV(r io.Reader) (*event.Log, error) {
 // MaxTraceLen are dropped whole, and a byte-limit hit keeps the rows parsed so
 // far; every skip is recorded in the report.
 //
-// encoding/csv tokenizes; assembly maps each case to a dense case index and
-// each activity to a local name id as rows stream in, cloning a field only
-// when it becomes a new map key. The alphabet is interned at the end, walking
-// the kept cases in first-appearance order, so event ids come out exactly as
-// if every kept case had been appended name by name.
+// csvScanner tokenizes in place with encoding/csv's grammar and errors, so no
+// row allocates. Assembly maps each case to a dense case index, reusing the
+// previous row's while the case repeats (WriteCSV groups rows by case), and
+// each activity to a local name id, making a string only for a new map key.
+// Rows go into one flat stream of name ids with a case marker wherever the
+// case changes. At the end the kept cases are laid out back to back, in
+// first-appearance order, in one event-id slab; the alphabet is interned
+// walking that slab, and every trace is a capacity-capped subslice of it. So
+// event ids come out exactly as if every kept case had been appended name by
+// name.
 func ReadCSVReport(r io.Reader, opts ReadOptions) (*event.Log, ReadReport, error) {
 	var rep ReadReport
-	cr := csv.NewReader(skipBOM(guardReader(r, opts)))
-	cr.FieldsPerRecord = -1 // validated by hand for per-row leniency
-	cr.ReuseRecord = true
+	sc := csvScanner{r: skipBOM(guardReader(r, opts))}
 	type csvCase struct {
-		ids       []int32 // local name ids in row order
-		oversized bool    // the whole case is being dropped
+		name      string // the case's map key
+		n         int    // rows kept so far
+		oversized bool   // the whole case is being dropped
 	}
 	var (
 		cases   []csvCase // in first-appearance order
 		caseIdx = map[string]int32{}
-		names   []string // local name id -> activity
-		nameIdx = map[string]int32{}
+		names   = nameTable{idx: map[string]int32{}}
+		rows    []int32 // name id of every kept row; ^ci: the rows after are case ci's
+		ci      = int32(-1)
 		first   = true
 	)
 	for {
-		rec, err := cr.Read()
+		err := sc.next()
 		if err == io.EOF {
 			break
 		}
@@ -150,21 +161,20 @@ func ReadCSVReport(r io.Reader, opts ReadOptions) (*event.Log, ReadReport, error
 				return nil, rep, fmt.Errorf("logio: csv: %w", err)
 			}
 			rep.record(opts, ParseError{Line: line, Trace: -1, Msg: err.Error()})
-			if !errors.As(err, &pe) {
+			if pe == nil {
 				break // I/O error or byte limit: nothing more to stream
 			}
 			rep.SkippedRows++
 			continue
 		}
-		line, _ := cr.FieldPos(0)
 		if first {
 			first = false
-			if len(rec) > 0 && strings.EqualFold(strings.TrimSpace(rec[0]), "case") {
+			if bytes.EqualFold(trimSpace(sc.field(0)), []byte("case")) {
 				continue // header
 			}
 		}
-		if len(rec) != 2 {
-			pe := ParseError{Line: line, Trace: -1, Msg: fmt.Sprintf("expected 2 fields, got %d", len(rec))}
+		if sc.fields() != 2 {
+			pe := ParseError{Line: sc.line, Trace: -1, Msg: fmt.Sprintf("expected 2 fields, got %d", sc.fields())}
 			if !opts.Lenient {
 				return nil, rep, fmt.Errorf("logio: csv: %w", pe)
 			}
@@ -172,10 +182,10 @@ func ReadCSVReport(r io.Reader, opts ReadOptions) (*event.Log, ReadReport, error
 			rep.SkippedRows++
 			continue
 		}
-		c := strings.TrimSpace(rec[0])
-		a := strings.TrimSpace(rec[1])
-		if c == "" || a == "" {
-			pe := ParseError{Line: line, Trace: -1, Msg: "empty case or activity"}
+		c := trimSpace(sc.field(0))
+		a := trimSpace(sc.field(1))
+		if len(c) == 0 || len(a) == 0 {
+			pe := ParseError{Line: sc.line, Trace: -1, Msg: "empty case or activity"}
 			if !opts.Lenient {
 				return nil, rep, fmt.Errorf("logio: csv: %w", pe)
 			}
@@ -183,57 +193,127 @@ func ReadCSVReport(r io.Reader, opts ReadOptions) (*event.Log, ReadReport, error
 			rep.SkippedRows++
 			continue
 		}
-		ci, ok := caseIdx[c]
-		if !ok {
-			ci = int32(len(cases))
-			caseIdx[strings.Clone(c)] = ci
-			cases = append(cases, csvCase{})
+		if ci < 0 || string(c) != cases[ci].name {
+			var ok bool
+			if ci, ok = caseIdx[string(c)]; !ok {
+				ci = int32(len(cases))
+				name := string(c)
+				caseIdx[name] = ci
+				cases = append(cases, csvCase{name: name})
+			}
+			rows = appendDoubling(rows, ^ci)
 		}
 		cs := &cases[ci]
 		if cs.oversized {
 			continue
 		}
-		if opts.MaxTraceLen > 0 && len(cs.ids) >= opts.MaxTraceLen {
-			pe := ParseError{Line: line, Trace: int(ci), Msg: fmt.Sprintf("case %q exceeds %d events", c, opts.MaxTraceLen)}
+		if opts.MaxTraceLen > 0 && cs.n >= opts.MaxTraceLen {
+			pe := ParseError{Line: sc.line, Trace: int(ci), Msg: fmt.Sprintf("case %q exceeds %d events", c, opts.MaxTraceLen)}
 			if !opts.Lenient {
 				return nil, rep, fmt.Errorf("logio: csv: %w", pe)
 			}
 			rep.record(opts, pe)
 			rep.SkippedTraces++
 			cs.oversized = true
-			cs.ids = nil
 			continue
 		}
-		ni, ok := nameIdx[a]
-		if !ok {
-			ni = int32(len(names))
-			a = strings.Clone(a)
-			nameIdx[a] = ni
-			names = append(names, a)
+		rows = appendDoubling(rows, names.id(a))
+		cs.n++
+	}
+	// Give each kept case its window of the slab; n becomes its fill cursor.
+	total, kept := 0, 0
+	for i := range cases {
+		if cs := &cases[i]; !cs.oversized {
+			cs.n, total = total, total+cs.n
+			kept++
 		}
-		cs.ids = append(cs.ids, ni)
+	}
+	slab := make([]event.ID, total)
+	var cs *csvCase
+	for _, v := range rows {
+		if v < 0 {
+			cs = &cases[^v]
+		} else if !cs.oversized {
+			slab[cs.n] = event.ID(v)
+			cs.n++
+		}
 	}
 	l := event.NewLog()
-	global := make([]event.ID, len(names)) // local name id -> alphabet id
+	if kept > 0 {
+		l.Traces = make([]event.Trace, 0, kept)
+	}
+	global := make([]event.ID, len(names.names)) // local name id -> alphabet id
 	for i := range global {
 		global[i] = event.None
 	}
+	for i, ni := range slab {
+		if global[ni] == event.None {
+			global[ni] = l.Alphabet.Intern(names.names[ni])
+		}
+		slab[i] = global[ni]
+	}
+	start := 0
 	for _, cs := range cases {
-		if cs.oversized {
-			continue
+		if !cs.oversized {
+			l.Append(slab[start:cs.n:cs.n])
+			start = cs.n
+			rep.Traces++
 		}
-		t := make(event.Trace, len(cs.ids))
-		for i, ni := range cs.ids {
-			if global[ni] == event.None {
-				global[ni] = l.Alphabet.Intern(names[ni])
-			}
-			t[i] = global[ni]
-		}
-		l.Append(t)
-		rep.Traces++
 	}
 	opts.noteRead(l, &rep)
 	return l, rep, nil
+}
+
+// nameTable gives activities dense local ids in first-appearance order. A
+// small direct-mapped cache, indexed by a hash of the name's bytes, answers
+// most lookups before the map does.
+type nameTable struct {
+	names  []string // local id -> name
+	idx    map[string]int32
+	recent [256]struct {
+		name string
+		id   int32
+	}
+}
+
+// id returns a's local id, making a string only for a new name.
+func (t *nameTable) id(a []byte) int32 {
+	h := uint(len(a))
+	for _, b := range a {
+		h = h*31 + uint(b)
+	}
+	slot := &t.recent[h%uint(len(t.recent))]
+	if len(a) > 0 && slot.name == string(a) {
+		return slot.id
+	}
+	id, ok := t.idx[string(a)]
+	if !ok {
+		id = int32(len(t.names))
+		name := string(a)
+		t.idx[name] = id
+		t.names = append(t.names, name)
+	}
+	slot.name, slot.id = t.names[id], id
+	return id
+}
+
+// appendDoubling appends v to s, doubling the capacity when s is full:
+// append's 1.25x growth for large slices would copy each row about five
+// times.
+func appendDoubling(s []int32, v int32) []int32 {
+	if len(s) == cap(s) {
+		s = slices.Grow(s, len(s)+1024)
+	}
+	return append(s, v)
+}
+
+// trimSpace is bytes.TrimSpace with a fast path for the usual field, one
+// that starts and ends with a printable ASCII byte.
+func trimSpace(b []byte) []byte {
+	if n := len(b); n > 0 && b[0] > ' ' && b[0] < utf8.RuneSelf && b[n-1] > ' ' && b[n-1] < utf8.RuneSelf {
+		return b
+	}
+	return bytes.TrimSpace(b)
 }
 
 // WriteCSV writes the log as "case,activity" rows with a header, numbering
@@ -468,13 +548,13 @@ const (
 	FormatXES        = "xes"
 )
 
-// DetectFormat guesses the format from a file name extension, defaulting to
-// trace lines.
+// DetectFormat guesses the format from a file name extension, in any letter
+// case, defaulting to trace lines.
 func DetectFormat(filename string) string {
-	switch {
-	case strings.HasSuffix(filename, ".csv"):
+	switch strings.ToLower(filepath.Ext(filename)) {
+	case ".csv":
 		return FormatCSV
-	case strings.HasSuffix(filename, ".xes"), strings.HasSuffix(filename, ".xml"):
+	case ".xes", ".xml":
 		return FormatXES
 	default:
 		return FormatTraceLines

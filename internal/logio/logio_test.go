@@ -176,6 +176,13 @@ func TestDetectFormat(t *testing.T) {
 		"a.log":  FormatTraceLines,
 		"a.txt":  FormatTraceLines,
 		"nodots": FormatTraceLines,
+		// Extensions match in any letter case.
+		"export.CSV":     FormatCSV,
+		"log.XES":        FormatXES,
+		"a.Xml":          FormatXES,
+		"dir/Export.CsV": FormatCSV,
+		"a.LOG":          FormatTraceLines,
+		"csv":            FormatTraceLines,
 	}
 	for name, want := range cases {
 		if got := DetectFormat(name); got != want {

@@ -110,7 +110,8 @@ var ErrLogTooLarge = errors.New("input exceeds byte limit")
 
 // limitedReader reads at most max bytes and then fails with ErrLogTooLarge —
 // unlike io.LimitReader, which reports a silent EOF and would make a truncated
-// log indistinguishable from a complete one.
+// log indistinguishable from a complete one. An input of exactly max bytes is
+// not too large: once the budget is spent, a 1-byte probe tells the two apart.
 type limitedReader struct {
 	r   io.Reader
 	max int64
@@ -118,6 +119,10 @@ type limitedReader struct {
 
 func (lr *limitedReader) Read(p []byte) (int, error) {
 	if lr.max <= 0 {
+		var probe [1]byte
+		if n, err := lr.r.Read(probe[:]); n == 0 && err == io.EOF {
+			return 0, io.EOF
+		}
 		return 0, ErrLogTooLarge
 	}
 	if int64(len(p)) > lr.max {

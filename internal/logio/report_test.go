@@ -225,6 +225,49 @@ func TestMaxLogBytes(t *testing.T) {
 	}
 }
 
+// TestMaxLogBytesBoundary pins the byte limit at its edge in every format,
+// strict and lenient: an input of exactly MaxLogBytes bytes reads whole,
+// one byte less is too large, and logio.bytes counts only delivered bytes.
+func TestMaxLogBytesBoundary(t *testing.T) {
+	inputs := []struct{ format, src string }{
+		{FormatCSV, "c1,A\nc1,B\n"},
+		{FormatTraceLines, "A B\n"},
+		{FormatXES, `<log><trace><event><string key="concept:name" value="A"/></event></trace></log>`},
+	}
+	for _, in := range inputs {
+		n := int64(len(in.src))
+		for _, limit := range []int64{n - 1, n, n + 1} {
+			for _, lenient := range []bool{false, true} {
+				t.Run(fmt.Sprintf("%s/len%+d/lenient=%v", in.format, limit-n, lenient), func(t *testing.T) {
+					reg := telemetry.NewRegistry()
+					opts := ReadOptions{Lenient: lenient, MaxLogBytes: limit, Telemetry: reg}
+					_, rep, err := ReadWithReport(strings.NewReader(in.src), in.format, opts)
+					over := limit < n
+					switch {
+					case !lenient && over && !errors.Is(err, ErrLogTooLarge):
+						t.Errorf("err = %v, want ErrLogTooLarge", err)
+					case !lenient && !over && err != nil:
+						t.Errorf("err = %v, want none", err)
+					case lenient && err != nil:
+						t.Errorf("lenient err = %v", err)
+					case lenient && (rep.ErrorCount > 0) != over:
+						t.Errorf("lenient ErrorCount = %d (%v), want a byte-limit error only over the limit", rep.ErrorCount, rep.Errors)
+					case !over && rep.Traces != 1:
+						t.Errorf("traces = %d, want 1", rep.Traces)
+					}
+					want := n
+					if over {
+						want = limit
+					}
+					if snap := reg.Snapshot(); snap.Counter("logio.bytes") != want {
+						t.Errorf("logio.bytes = %d, want %d", snap.Counter("logio.bytes"), want)
+					}
+				})
+			}
+		}
+	}
+}
+
 // TestReadTraceLinesCountsLines pins the logio.lines counter to the lines
 // the reader actually read — the empty read that reports EOF after a final
 // newline is not a line — and the line numbers of the parse errors.
