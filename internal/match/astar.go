@@ -255,6 +255,7 @@ func (pr *Problem) astarSearch(ctx context.Context, opts Options, tele *searchTe
 			}
 		}
 		ex.a, ex.targets = pr.expandEvent(cur.depth, opts), targets
+		ex.cacheBounds()
 		forEachIndex(opts.Workers, len(targets), ex.child)
 		for _, child := range ex.children[:len(targets)] {
 			heap.Push(q, child)
@@ -280,11 +281,14 @@ func (pr *Problem) astarSearch(ctx context.Context, opts Options, tele *searchTe
 
 // expansion is the fan-out scratch of one A* search. Every expansion runs
 // through it at every worker count: the unused targets of cur are listed in
-// id order, children[i] is built from targets[i] by child (on as many
-// goroutines as Options.Workers allows), and the search pushes the children
-// in that order, so the frontier evolves identically for every width.
-// Expansions are pooled with their buffers and their child closure, so a
-// search allocates none of this scratch once the pool is warm.
+// id order, cur's bound of every pattern is cached once on the search
+// goroutine (cacheBounds), children[i] is built from targets[i] by child
+// (on as many goroutines as Options.Workers allows, each deriving its h
+// from the read-only cache), and the search pushes the children in that
+// order, so the frontier evolves identically for every width. Expansions
+// are pooled with their buffers and their child closure, so a search
+// allocates none of this scratch once the pool is warm. GreedyExpand
+// builds its candidates through the same cache and expand, one at a time.
 type expansion struct {
 	pr       *Problem
 	bound    BoundKind
@@ -294,6 +298,14 @@ type expansion struct {
 	targets  []event.ID
 	children []*node
 	child    func(i int) // children[i] = the child of cur for a→targets[i]
+	cache    []cachedBound
+}
+
+// cachedBound is cur's bound of one pattern, with what it depends on.
+type cachedBound struct {
+	h   float64
+	dep boundDep
+	w   witnesses
 }
 
 var expansions sync.Pool // *expansion
@@ -304,13 +316,18 @@ func getExpansion(pr *Problem, bound BoundKind, tele *searchTelemetry, n2 int) *
 	if ex == nil {
 		ex = &expansion{}
 		ex.child = func(i int) {
-			ex.children[i] = ex.pr.expand(ex.cur, ex.a, ex.targets[i], ex.bound, ex.tele)
+			ex.children[i] = ex.expand(ex.targets[i])
 		}
 	}
 	ex.pr, ex.bound, ex.tele = pr, bound, tele
 	if cap(ex.children) < n2 {
 		ex.targets = make([]event.ID, 0, n2)
 		ex.children = make([]*node, n2)
+	}
+	if n := len(pr.patterns); cap(ex.cache) < n {
+		ex.cache = make([]cachedBound, n)
+	} else {
+		ex.cache = ex.cache[:n]
 	}
 	return ex
 }
@@ -320,6 +337,76 @@ func putExpansion(ex *expansion) {
 	ex.pr, ex.tele, ex.cur = nil, nil, nil
 	clear(ex.children)
 	expansions.Put(ex)
+}
+
+// cacheBounds evaluates cur's bound of every pattern once, recording with
+// each value the class that tells a child a→b whether it may reuse it. The
+// patterns containing a are marked from the Ip index and not evaluated:
+// every child changes them.
+func (ex *expansion) cacheBounds() {
+	if ex.bound == BoundSimple {
+		return
+	}
+	pr, m := ex.pr, ex.cur.m
+	withA := pr.pix.Containing(ex.a) // ascending pattern indices
+	bc := pr.bounds.get()
+	bc.reset(pr, ex.cur.used)
+	for i := range ex.cache {
+		c, pi := &ex.cache[i], &pr.patterns[i]
+		switch {
+		case len(withA) > 0 && withA[0] == i:
+			withA = withA[1:]
+			c.dep = depWithA
+		case fullyMapped(pi, m):
+			c.dep = depMapped
+		default:
+			c.h, c.dep = bc.patternBound(pi, m, ex.bound == BoundSharp, &c.w)
+		}
+	}
+	pr.bounds.put(bc)
+}
+
+// childH derives h of cur's child a→b, whose mapping is m and whose used
+// targets are used, from the cached bounds. The child's U2 is cur's minus
+// b, and only patterns containing a see a different mapped part, so a
+// pattern's bound is recomputed only if it contains a, is depAlways, or has
+// b among its witnesses; every other term is cur's. The terms are added in
+// pattern order, skipping the same fully mapped patterns as hBound, so the
+// sum is bit-identical to hBound on the child.
+func (ex *expansion) childH(m Mapping, used []bool, b event.ID) float64 {
+	pr := ex.pr
+	if ex.bound == BoundSimple {
+		return pr.hBound(BoundSimple, m, used)
+	}
+	var bc *boundContext
+	var w witnesses
+	h := 0.0
+	for i := range ex.cache {
+		c := &ex.cache[i]
+		switch c.dep {
+		case depMapped:
+			continue
+		case depConstant, depWitness:
+			if !c.w.has(b) {
+				h += c.h
+				continue
+			}
+		case depWithA:
+			if fullyMapped(&pr.patterns[i], m) {
+				continue
+			}
+		}
+		if bc == nil {
+			bc = pr.bounds.get()
+			bc.reset(pr, used)
+		}
+		v, _ := bc.patternBound(&pr.patterns[i], m, ex.bound == BoundSharp, &w)
+		h += v
+	}
+	if bc != nil {
+		pr.bounds.put(bc)
+	}
+	return h
 }
 
 // truncateAStar produces the anytime result when a budget fires mid-search:
@@ -373,10 +460,7 @@ func (pr *Problem) completeGreedy(m Mapping, used []bool, opts Options) {
 				continue
 			}
 			m[a] = event.ID(b)
-			gain := 0.0
-			for _, piIdx := range pr.pix.NewlyCompleted(a, func(v event.ID) bool { return m[v] != event.None && v != a }) {
-				gain += pr.contribution(&pr.patterns[piIdx], m)
-			}
+			gain := pr.addCompleted(0, a, m)
 			m[a] = event.None
 			if bestB < 0 || gain > bestGain {
 				bestGain = gain
@@ -400,25 +484,35 @@ func (pr *Problem) expandEvent(depth int, opts Options) event.ID {
 }
 
 // expand creates the child of cur obtained by appending a→b, computing g
-// incrementally from the newly completed patterns (§3.2) and h from the
-// selected bound. tele may carry all-nil handles (telemetry disabled).
+// incrementally from the newly completed patterns (§3.2) and h from cur's
+// cached bounds. ex.tele may carry all-nil handles (telemetry disabled).
 // Children are drawn from the problem's node pool — their mapping and
 // used-target arrays are recycled allocations, fully overwritten here.
-func (pr *Problem) expand(cur *node, a, b event.ID, bound BoundKind, tele *searchTelemetry) *node {
+func (ex *expansion) expand(b event.ID) *node {
+	pr, cur, a := ex.pr, ex.cur, ex.a
 	child := pr.nodes.get()
 	child.m = append(child.m[:0], cur.m...)
 	child.used = append(child.used[:0], cur.used...)
 	child.depth = cur.depth + 1
-	child.g = cur.g
-	child.h = 0
 	child.m[a] = b
 	child.used[b] = true
-	for _, piIdx := range pr.pix.NewlyCompleted(a, func(v event.ID) bool { return child.m[v] != event.None && v != a }) {
-		child.g += pr.contribution(&pr.patterns[piIdx], child.m)
-	}
-	tele.boundEvals.Inc()
-	child.h = pr.hBound(bound, child.m, child.used)
+	child.g = pr.addCompleted(cur.g, a, child.m)
+	ex.tele.boundEvals.Inc()
+	child.h = ex.childH(child.m, child.used, b)
+	assertChildBound(pr, ex.bound, child.m, child.used, child.h)
 	return child
+}
+
+// addCompleted adds to g, one by one in Ip order, the contributions of the
+// patterns that mapping a has just completed in m: the patterns of Ip(a)
+// that m maps fully (§3.2's P_new, since a was unmapped before).
+func (pr *Problem) addCompleted(g float64, a event.ID, m Mapping) float64 {
+	for _, i := range pr.pix.Containing(a) {
+		if pi := &pr.patterns[i]; fullyMapped(pi, m) {
+			g += pr.contribution(pi, m)
+		}
+	}
+	return g
 }
 
 // BruteForce enumerates every injective mapping and returns the optimum. It

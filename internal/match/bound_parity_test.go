@@ -2,6 +2,7 @@ package match_test
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"sort"
 	"testing"
@@ -192,6 +193,81 @@ func TestHBoundAllocs(t *testing.T) {
 		pr.HBound(kind, m, used) // grow the scratch
 		if allocs := testing.AllocsPerRun(100, func() { pr.HBound(kind, m, used) }); allocs != 0 {
 			t.Errorf("%v hBound: %v allocs per node, want 0", kind, allocs)
+		}
+	}
+}
+
+// checkChildParity asserts that the h A* derives for a child from its
+// parent's cached bounds equals the child's full hBound bit for bit, for
+// every unmapped a and unused b of random parent nodes, under both
+// Algorithm 2 kinds. With withheld, each parent also marks a random number
+// of targets below it used without mapping anything to them, which shrinks
+// U2 below the unmapped events and so reaches the size cut.
+func checkChildParity(t *testing.T, label string, pr *match.Problem, rng *rand.Rand, parents, withheld int) {
+	t.Helper()
+	for trial := 0; trial < parents; trial++ {
+		m, used := randomPartial(rng, pr)
+		for i, n := 0, rng.Intn(withheld+1); i < n; i++ {
+			used[rng.Intn(len(used))] = true
+		}
+		for a := range m {
+			if m[a] != event.None {
+				continue
+			}
+			for b := range used {
+				if used[b] {
+					continue
+				}
+				child, childUsed := m.Clone(), append([]bool(nil), used...)
+				child[a], childUsed[b] = event.ID(b), true
+				for _, kind := range []match.BoundKind{match.BoundTight, match.BoundSharp} {
+					got := match.ChildHBound(pr, kind, m, used, event.ID(a), event.ID(b))
+					want := pr.HBound(kind, child, childUsed)
+					if math.Float64bits(got) != math.Float64bits(want) {
+						t.Fatalf("%s: %v bound of %v + %d→%d derived as %v, full hBound %v", label, kind, m, a, b, got, want)
+					}
+				}
+			}
+		}
+	}
+}
+
+func TestChildHBoundParity(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	checkChildParity(t, "fig1", buildProblem(t, gen.Fig1()), rng, 100, 0)
+	// Self-loops in G2: an edge bracket can then lie on a single target, so
+	// a child that takes the other one must still see the size cut.
+	loops := event.FromStrings("A A B", "B C C", "C A", "D D A", "B D")
+	checkChildParity(t, "self-loops", buildProblem(t, &gen.Generated{L1: loops, L2: loops}), rng, 200, 2)
+	rl := gen.RealLike(1, 1000)
+	checkChildParity(t, "reallike", buildProblem(t, rl), rng, 100, 0)
+	for seed := int64(1); seed <= 3; seed++ {
+		checkChildParity(t, fmt.Sprintf("fig12-20 seed %d", seed), buildProblem(t, gen.LargeSynthetic(seed, 2, 2000)), rng, 20, 0)
+	}
+	// Padded: keep the first 7 of L2's 11 events, so |V1| > |V2|.
+	keep := make([]event.ID, 7)
+	for i := range keep {
+		keep[i] = event.ID(i)
+	}
+	l2, err := rl.L2.ProjectSet(keep)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkChildParity(t, "padded", buildProblem(t, &gen.Generated{L1: rl.L1, L2: l2, Patterns: rl.Patterns}), rng, 100, 0)
+
+	g := gen.RealLike(2, 60)
+	sp, err := match.NewStreamProblem(g.L1, event.NewLog(), bindPatterns(t, g), match.ModePattern)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, tr := range g.L2.Traces {
+		names := make([]string, len(tr))
+		for j, v := range tr {
+			names[j] = g.L2.Alphabet.Name(v)
+		}
+		sp.Append(names...)
+		if n := i + 1; n == 1 || n == 8 || n == 60 {
+			checkChildParity(t, fmt.Sprintf("stream after %d appends", n), sp.Problem(), rng, 50, 0)
 		}
 	}
 }

@@ -14,6 +14,13 @@ func newBoundContext(pr *Problem, used []bool) *boundContext {
 	return bc
 }
 
+// bound returns patternBound's value alone.
+func (bc *boundContext) bound(pi *pinfo, m Mapping, sharp bool) float64 {
+	var w witnesses
+	h, _ := bc.patternBound(pi, m, sharp, &w)
+	return h
+}
+
 // TestBoundContextMaxFreqs pins the fn and fe terms of Algorithm 2 on the
 // paper's Fig. 1 L1 used as the target log: fnU2 is the highest vertex
 // frequency in U2 and feU2 the highest edge frequency in the subgraph U2
@@ -50,9 +57,10 @@ func TestBoundContextMaxFreqs(t *testing.T) {
 			used[a.Lookup(name)] = false
 		}
 		bc := newBoundContext(pr, used)
-		if !approx(bc.fnU2, c.fn) || !approx(bc.feU2, c.fe) || len(bc.vfreqs) != c.numU2 {
+		fn, fe := bc.maxFreqs()
+		if !approx(fn, c.fn) || !approx(fe, c.fe) || bc.numU2() != c.numU2 {
 			t.Errorf("U2 = %s: fnU2 %v feU2 %v |U2| %d, want %v %v %d",
-				c.name, bc.fnU2, bc.feU2, len(bc.vfreqs), c.fn, c.fe, c.numU2)
+				c.name, fn, fe, bc.numU2(), c.fn, c.fe, c.numU2)
 		}
 	}
 }

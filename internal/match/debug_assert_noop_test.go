@@ -12,4 +12,5 @@ func TestDebugAssertionsDisabled(t *testing.T) {
 	}
 	assertInjective("noop", Mapping{3, 3})                           // duplicate target
 	assertHeapInvariant("noop", &nodeHeap{&node{g: 1}, &node{g: 5}}) // corrupt heap
+	assertChildBound(nil, BoundSharp, Mapping{0}, []bool{true}, -1)  // wrong h
 }

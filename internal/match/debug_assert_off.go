@@ -9,3 +9,5 @@ const debugAssertions = false
 func assertInjective(label string, m Mapping) {}
 
 func assertHeapInvariant(label string, q *nodeHeap) {}
+
+func assertChildBound(pr *Problem, kind BoundKind, m Mapping, used []bool, h float64) {}

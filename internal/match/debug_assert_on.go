@@ -4,6 +4,7 @@ package match
 
 import (
 	"fmt"
+	"math"
 
 	"eventmatch/internal/event"
 )
@@ -41,5 +42,14 @@ func assertHeapInvariant(label string, q *nodeHeap) {
 			panic(fmt.Sprintf("matchdebug: %s: heap invariant broken: node %d (f=%g) sorts before its parent %d (f=%g)",
 				label, child, (*q)[child].g+(*q)[child].h, parent, (*q)[parent].g+(*q)[parent].h))
 		}
+	}
+}
+
+// assertChildBound panics when h, a child's bound derived from its parent's
+// cached bounds, differs in any bit from the full hBound of the child
+// (mapping m, used targets used).
+func assertChildBound(pr *Problem, kind BoundKind, m Mapping, used []bool, h float64) {
+	if full := pr.hBound(kind, m, used); math.Float64bits(full) != math.Float64bits(h) {
+		panic(fmt.Sprintf("matchdebug: derived %v bound of child %v is %v, full hBound %v", kind, m, h, full))
 	}
 }

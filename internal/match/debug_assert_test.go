@@ -54,3 +54,18 @@ func TestAssertHeapInvariant(t *testing.T) {
 		assertHeapInvariant("corrupt", bad)
 	})
 }
+
+func TestAssertChildBound(t *testing.T) {
+	l := event.FromStrings("A B C", "A C B", "B C")
+	pr, err := BuildProblem(l, l, nil, ModeVertexEdge)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, used := NewMapping(3), make([]bool, 3)
+	m[0], used[1] = 1, true
+	h := pr.hBound(BoundSharp, m, used)
+	assertChildBound(pr, BoundSharp, m, used, h)
+	mustPanic(t, "full hBound", func() {
+		assertChildBound(pr, BoundSharp, m, used, h+1e-12)
+	})
+}

@@ -7,6 +7,7 @@ import (
 	"eventmatch/internal/event"
 	"eventmatch/internal/gen"
 	"eventmatch/internal/match"
+	"eventmatch/internal/telemetry"
 )
 
 // effortGolden pins exact A* (sharp bound) on seeded 20-event Fig. 12 pairs
@@ -46,5 +47,28 @@ func TestAStarEffortPinned(t *testing.T) {
 				t.Errorf("%s: mapping %v, want %v", label, m, gold.mapping)
 			}
 		}
+	}
+}
+
+// TestAStarFrontierPeakAcrossWorkers checks that the frontier evolves
+// identically at every expansion width: the peak open-list size the
+// telemetry records is the same at 1, 2 and 8 workers.
+func TestAStarFrontierPeakAcrossWorkers(t *testing.T) {
+	pr := buildProblem(t, gen.LargeSynthetic(1, 2, 2000))
+	var want int64
+	for _, workers := range []int{1, 2, 8} {
+		_, st, err := pr.AStar(match.Options{Bound: match.BoundSharp, Workers: workers, Telemetry: telemetry.NewRegistry()})
+		if err != nil {
+			t.Fatal(err)
+		}
+		peak := st.Telemetry.Gauge(match.MetricAStarFrontierPeak)
+		if workers == 1 {
+			want = peak
+		} else if peak != want {
+			t.Errorf("%d workers: frontier peak %d, want %d as at 1 worker", workers, peak, want)
+		}
+	}
+	if want == 0 {
+		t.Error("no frontier peak recorded")
 	}
 }

@@ -1,15 +1,31 @@
 package match
 
+import "eventmatch/internal/event"
+
 // HBound exposes hBound to the external tests.
 func (pr *Problem) HBound(kind BoundKind, m Mapping, used []bool) float64 {
 	return pr.hBound(kind, m, used)
 }
 
-// HBoundOver is hBound for the tight and sharp kinds with the U2 spectra
-// supplied by the caller instead of filtered from G2's tables: vfreqs and
-// efreqs are the sorted vertex and induced-edge frequencies of U2, fnU2 and
-// feU2 their maxima.
+// HBoundOver is the parity oracle for hBound (see spectrumBound), for the
+// tight and sharp kinds, with the U2 spectra supplied by the caller: vfreqs
+// and efreqs are the sorted vertex and induced-edge frequencies of U2,
+// fnU2 and feU2 their maxima.
 func (pr *Problem) HBoundOver(kind BoundKind, m Mapping, used []bool, vfreqs, efreqs []float64, fnU2, feU2 float64) float64 {
-	bc := &boundContext{pr: pr, used: used, fnU2: fnU2, feU2: feU2, vfreqs: vfreqs, efreqs: efreqs}
-	return bc.sum(kind == BoundSharp, m)
+	sb := &spectrumBound{pr: pr, used: used, fnU2: fnU2, feU2: feU2, vfreqs: vfreqs, efreqs: efreqs}
+	return sb.sum(kind == BoundSharp, m)
+}
+
+// ChildHBound derives h of the child a→b of the node (parentM, parentUsed)
+// the way A* does: the parent's bounds are cached through a pooled
+// expansion, and the child's h is derived from them. The parent's mapping
+// and used targets are not modified.
+func ChildHBound(pr *Problem, kind BoundKind, parentM Mapping, parentUsed []bool, a, b event.ID) float64 {
+	ex := getExpansion(pr, kind, nil, len(parentUsed))
+	defer putExpansion(ex)
+	ex.cur, ex.a = &node{m: parentM, used: parentUsed}, a
+	ex.cacheBounds()
+	m, used := parentM.Clone(), append([]bool(nil), parentUsed...)
+	m[a], used[b] = b, true
+	return ex.childH(m, used, b)
 }

@@ -15,7 +15,7 @@ import (
 
 // buildProblem binds a Generated workload's patterns and prepares the
 // matching instance.
-func buildProblem(t *testing.T, g *gen.Generated) *match.Problem {
+func buildProblem(t testing.TB, g *gen.Generated) *match.Problem {
 	t.Helper()
 	pr, err := match.BuildProblem(g.L1, g.L2, bindPatterns(t, g), match.ModePattern)
 	if err != nil {
@@ -25,7 +25,7 @@ func buildProblem(t *testing.T, g *gen.Generated) *match.Problem {
 }
 
 // bindPatterns binds a Generated workload's patterns to its source log.
-func bindPatterns(t *testing.T, g *gen.Generated) []*pattern.Pattern {
+func bindPatterns(t testing.TB, g *gen.Generated) []*pattern.Pattern {
 	t.Helper()
 	var ps []*pattern.Pattern
 	for _, src := range g.Patterns {

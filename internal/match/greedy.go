@@ -49,13 +49,16 @@ func (pr *Problem) greedyExpand(ctx context.Context, opts Options, tele *searchT
 	// Checkpoint snapshots complete the last committed node, the same base
 	// the truncation path uses when a budget fires between commitments.
 	stop.onSnapshot(pr.snapshotNode(func() *node { return cur }, opts))
+	ex := getExpansion(pr, opts.Bound, tele, n2)
+	defer putExpansion(ex)
 	for cur.depth < depthGoal {
 		if reason, halt := stop.now(&st); halt {
 			return pr.truncateGreedy(cur, opts, &st, reason, start)
 		}
 		st.Expanded++
 		tele.greedyExpanded.Inc()
-		a := pr.expandEvent(cur.depth, opts)
+		ex.cur, ex.a = cur, pr.expandEvent(cur.depth, opts)
+		ex.cacheBounds()
 		var best *node
 		for b := 0; b < n2; b++ {
 			if cur.used[b] {
@@ -72,7 +75,7 @@ func (pr *Problem) greedyExpand(ctx context.Context, opts Options, tele *searchT
 			}
 			st.Generated++
 			tele.greedyGenerated.Inc()
-			child := pr.expand(cur, a, event.ID(b), opts.Bound, tele)
+			child := ex.expand(event.ID(b))
 			if best == nil || child.g+child.h > best.g+best.h {
 				// The displaced best is referenced by nothing; recycle it.
 				pr.nodes.put(best)

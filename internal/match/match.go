@@ -140,6 +140,10 @@ type pinfo struct {
 	omega  int64           // |I(p)|
 	events []event.ID      // events of p, appearance order
 	edges  []depgraph.Edge // graph-form edges of p
+
+	// Where f1 falls in G2's ascending vertex and edge frequency orders:
+	// the first position whose frequency is ≥ f1 (set by setG2).
+	vpos, epos int
 }
 
 // Problem is a prepared event-matching instance over two logs.
@@ -196,7 +200,6 @@ func BuildProblem(l1, l2 *event.Log, user []*pattern.Pattern, mode Mode) (*Probl
 		l2g = padded
 	}
 	pr.n2pad = l2g.NumEvents()
-	pr.G2 = depgraph.Build(l2g)
 	eng1 := pattern.NewEngine(pattern.NewTraceIndex(l1), 1)
 	pr.fc2 = pattern.NewFrequencyCache(pattern.NewTraceIndex(l2g))
 
@@ -268,6 +271,7 @@ func BuildProblem(l1, l2 *event.Log, user []*pattern.Pattern, mode Mode) (*Probl
 	}
 	pr.pix = pattern.NewPatternIndex(ps)
 	pr.order = pr.expansionOrder()
+	pr.setG2(depgraph.Build(l2g))
 	return pr, nil
 }
 

@@ -360,7 +360,7 @@ func TestTightBoundSoundnessProperty(t *testing.T) {
 			}
 			for i := range pr.patterns {
 				pi := &pr.patterns[i]
-				bound := bc.patternBound(pi, empty, true)
+				bound := bc.bound(pi, empty, true)
 				actual := pr.contribution(pi, m)
 				if bound < actual-1e-9 {
 					return false
@@ -430,7 +430,7 @@ func TestTightBoundPartialSoundnessProperty(t *testing.T) {
 			if fullyMapped(pi, partial) {
 				continue
 			}
-			if bc.patternBound(pi, partial, true) < maxContrib[i]-1e-9 {
+			if bc.bound(pi, partial, true) < maxContrib[i]-1e-9 {
 				return false
 			}
 		}

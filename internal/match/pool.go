@@ -42,13 +42,14 @@ func (np *nodePool) put(nd *node) {
 	}
 }
 
-// boundPool recycles boundContext scratch for hBound. Every node's bound
-// refills the context's spectra from G2's precomputed tables, so a recycled
-// context allocates nothing once its slices have grown to G2's size. Like
-// nodePool it is a sync.Pool: each search goroutine (every A* expansion
-// worker, every Heuristic-Advanced scorer, the greedy searches) holds its
-// own context for the length of one hBound call, and G2's tables are only
-// ever read.
+// boundPool recycles boundContext scratch. A context walks G2's
+// frequency-ordered tables in place and keeps only a few lazily computed
+// scalars and a complex pattern's image list, so a recycled context
+// allocates nothing. Like nodePool it is a sync.Pool: each goroutine that
+// evaluates bounds (the search goroutine caching an expansion's parent
+// bounds, every A* child worker, every Heuristic-Advanced scorer, the
+// greedy searches) holds its own context for the length of one evaluation,
+// and G2's tables are only ever read.
 type boundPool struct {
 	p sync.Pool
 }

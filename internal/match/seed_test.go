@@ -2,6 +2,8 @@ package match
 
 import (
 	"context"
+	"math"
+	"sort"
 	"testing"
 	"time"
 
@@ -180,36 +182,54 @@ func TestBoundSharpTighterThanTight(t *testing.T) {
 	bc := newBoundContext(pr, used)
 	for i := range pr.patterns {
 		pi := &pr.patterns[i]
-		tight := bc.patternBound(pi, empty, false)
-		sharp := bc.patternBound(pi, empty, true)
+		tight := bc.bound(pi, empty, false)
+		sharp := bc.bound(pi, empty, true)
 		if sharp > tight+1e-9 {
 			t.Errorf("pattern %d: sharp %v > tight %v", i, sharp, tight)
 		}
 	}
 }
 
+// TestBestSim pins the bracket walk of the sharp vertex bound: over U2's
+// vertex frequencies {0.1, 0.3, 0.8} (a fourth vertex, D, is used), the
+// best similarity to f1 comes from the nearest U2 values on either side of
+// f1, and those vertices are the witnesses.
 func TestBestSim(t *testing.T) {
-	sorted := []float64{0.1, 0.3, 0.8}
-	if got := bestSim(0.3, sorted); got != 1 {
-		t.Errorf("exact hit = %v, want 1", got)
+	traces := []string{"A B C D", "B C D", "B C D", "C D", "C D", "C D", "C D", "C D", "D", "D"}
+	l2 := event.FromStrings(traces...)
+	pr, err := BuildProblem(l2, l2, nil, ModeVertex)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if got := bestSim(0.5, sorted); !approx(got, Sim(0.5, 0.3)) && !approx(got, Sim(0.5, 0.8)) {
-		t.Errorf("between = %v", got)
+	a := l2.Alphabet
+	A, B, C, D := a.Lookup("A"), a.Lookup("B"), a.Lookup("C"), a.Lookup("D")
+	used := make([]bool, l2.NumEvents())
+	used[D] = true
+	best := func(used []bool, f1 float64) (float64, witnesses) {
+		vs := pr.G2.VerticesByFreq()
+		pos := sort.Search(len(vs), func(k int) bool { return pr.G2.VertexFreq(vs[k]) >= f1 })
+		w := noWitnesses
+		return newBoundContext(pr, used).bestVertexSim(f1, pos, &w), w
 	}
-	want := Sim(0.5, 0.3)
-	if Sim(0.5, 0.8) > want {
-		want = Sim(0.5, 0.8)
+	f := pr.G2.VertexFreq
+	for _, c := range []struct {
+		name   string
+		f1     float64
+		want   float64
+		up, dn event.ID
+	}{
+		{"exact hit", f(B), 1, B, A},
+		{"between", 0.5, math.Max(Sim(0.5, f(B)), Sim(0.5, f(C))), C, B},
+		{"below min", 0.05, Sim(0.05, f(A)), A, event.None},
+		{"above max, past a used vertex", 0.9, Sim(0.9, f(C)), event.None, C},
+	} {
+		got, w := best(used, c.f1)
+		if !approx(got, c.want) || w != (witnesses{c.up, c.dn, event.None, event.None}) {
+			t.Errorf("%s: bestVertexSim(%v) = %v with witnesses %v, want %v with %v, %v",
+				c.name, c.f1, got, w, c.want, c.up, c.dn)
+		}
 	}
-	if got := bestSim(0.5, sorted); !approx(got, want) {
-		t.Errorf("bestSim = %v, want max neighbour %v", got, want)
-	}
-	if got := bestSim(0.5, nil); got != 0 {
-		t.Errorf("empty = %v, want 0", got)
-	}
-	if got := bestSim(0.05, sorted); !approx(got, Sim(0.05, 0.1)) {
-		t.Errorf("below min = %v", got)
-	}
-	if got := bestSim(0.9, sorted); !approx(got, Sim(0.9, 0.8)) {
-		t.Errorf("above max = %v", got)
+	if got, w := best([]bool{true, true, true, true}, 0.5); got != 0 || w != noWitnesses {
+		t.Errorf("empty U2 = %v with witnesses %v, want 0 with none", got, w)
 	}
 }

@@ -77,7 +77,7 @@ func (sp *StreamProblem) Append(names ...string) event.Delta {
 	}
 	sp.pr.fc2.Engine().Index().Apply(d)
 	pr.fc2.Invalidate(d.Events)
-	pr.G2 = depgraph.Build(sp.view)
+	pr.setG2(depgraph.Build(sp.view))
 	return d
 }
 

@@ -52,28 +52,6 @@ func (ix *PatternIndex) Containing(v event.ID) []int {
 // order picks the unmapped event with the highest degree first (§3.1).
 func (ix *PatternIndex) Degree(v event.ID) int { return len(ix.Containing(v)) }
 
-// NewlyCompleted returns the indices of patterns whose event sets are fully
-// inside mapped∪{a} but were not fully inside mapped — i.e. the set P_new of
-// Section 3.2.1 when the partial mapping is extended by event a. mapped must
-// report the previously mapped events.
-func (ix *PatternIndex) NewlyCompleted(a event.ID, mapped func(event.ID) bool) []int {
-	var out []int
-	for _, pi := range ix.Containing(a) {
-		p := ix.patterns[pi]
-		complete := true
-		for _, v := range p.Events() {
-			if v != a && !mapped(v) {
-				complete = false
-				break
-			}
-		}
-		if complete {
-			out = append(out, pi)
-		}
-	}
-	return out
-}
-
 // TraceIndex is the inverted index It of Section 3.2.3: for each event, the
 // set of traces (indices into the log) containing it, stored as a
 // trace-membership bitset per event and served by Bits.

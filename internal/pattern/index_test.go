@@ -32,30 +32,6 @@ func TestPatternIndex(t *testing.T) {
 	}
 }
 
-func TestNewlyCompleted(t *testing.T) {
-	a := event.NewAlphabet("A", "B", "C", "D")
-	ps := []*Pattern{
-		must(ParseBind("SEQ(A,B)", a)),
-		must(ParseBind("SEQ(B,C)", a)),
-		must(ParseBind("SEQ(A,AND(B,C),D)", a)),
-	}
-	ix := NewPatternIndex(ps)
-	A, B, C := a.Lookup("A"), a.Lookup("B"), a.Lookup("C")
-	mappedSet := map[event.ID]bool{A: true, C: true}
-	mapped := func(v event.ID) bool { return mappedSet[v] }
-	// Adding B completes SEQ(A,B) and SEQ(B,C) but not the 4-event pattern.
-	got := ix.NewlyCompleted(B, mapped)
-	if !reflect.DeepEqual(got, []int{0, 1}) {
-		t.Errorf("NewlyCompleted = %v, want [0 1]", got)
-	}
-	// Adding D after A,B,C completes only the big pattern.
-	mappedSet[B] = true
-	got = ix.NewlyCompleted(a.Lookup("D"), mapped)
-	if !reflect.DeepEqual(got, []int{2}) {
-		t.Errorf("NewlyCompleted(D) = %v, want [2]", got)
-	}
-}
-
 func TestTraceIndex(t *testing.T) {
 	l := event.FromStrings("A B C", "B C", "A C", "C")
 	ix := NewTraceIndex(l)
