@@ -6,6 +6,12 @@
 // For an event v, f(v,v) is the fraction of traces containing v. For an edge
 // (v,u), f(v,u) is the fraction of traces where v is immediately followed by
 // u at least once. Edges with frequency 0 are not materialized.
+//
+// Every graph is a fold of per-trace counts: Counts adds one trace at a time
+// to raw vertex and edge trace-counts, and Counts.Graph divides them by the
+// number of traces and derives the immutable Graph and its tables. Build is
+// that fold over a whole log; a growing log keeps its Counts and folds only
+// the traces it appends.
 package depgraph
 
 import (
@@ -23,13 +29,13 @@ type Edge struct {
 
 // Graph is an event dependency graph G(V, E, f) over a log's alphabet.
 //
-// A Graph is immutable once built, and every table a search reads is built
-// with it: the (From, To)-sorted edge list with its frequencies, the
-// adjacency lists, and the vertex and edge orders by ascending frequency.
-// Edges are sorted by From first, so the out-edges of v are the contiguous
-// window [out[v], out[v+1]) of edges, and succ and edgeFreq restricted to
-// that window are v's sorted successors and their frequencies. Lookups
-// binary-search that window; nothing hashes.
+// A Graph is materialized from a log's Counts and is immutable once built;
+// every table a search reads is built with it: the (From, To)-sorted edge
+// list with its frequencies, the adjacency lists, and the vertex and edge
+// orders by ascending frequency. Edges are sorted by From first, so the
+// out-edges of v are the contiguous window [out[v], out[v+1]) of edges, and
+// succ and edgeFreq restricted to that window are v's sorted successors and
+// their frequencies. Lookups binary-search that window; nothing hashes.
 type Graph struct {
 	alphabet   *event.Alphabet
 	n          int
@@ -49,67 +55,180 @@ type Graph struct {
 
 // Build constructs the dependency graph of a log.
 func Build(l *event.Log) *Graph {
-	n := l.NumEvents()
+	return Count(l).Graph(l.Alphabet)
+}
+
+// denseMax is the largest alphabet whose edge slots are looked up in a dense
+// n×n table (256 KB of int32 at the bound); larger alphabets hash edges, so
+// memory stays proportional to the edges that occur.
+const denseMax = 256
+
+// tally counts the traces an item occurs in; last is the 1-based number of
+// the last trace that counted it, so a trace counts each item at most once.
+type tally struct {
+	count, last int
+}
+
+// Counts holds a log's raw dependency counts: for every vertex and every
+// edge that has occurred, the number of traces it occurs in. A trace is
+// folded in by Add in O(|trace|), and Graph materializes the normalized
+// Graph, so a growing log pays per appended trace, not per log.
+//
+// Edges are numbered by slot in first-occurrence order, and each slot's
+// edge and tally live in per-slot arrays. slotOf finds a slot through a
+// dense n×n table, or through a map above denseMax events.
+type Counts struct {
+	n      int
+	traces int
+	vert   []tally // vert[v]: traces containing v
+
+	edges []Edge  // edges[s]: the edge in slot s
+	edge  []tally // edge[s]: traces where edges[s] occurs
+
+	dense  []int32        // n ≤ denseMax: dense[from*n+to] = slot+1, 0 when absent
+	sparse map[Edge]int32 // n > denseMax: edge → slot
+
+	order []int32 // Graph scratch: slots in (From, To) order
+}
+
+// NewCounts returns empty counts over an alphabet of n events.
+func NewCounts(n int) *Counts {
+	c := &Counts{}
+	c.Grow(n)
+	return c
+}
+
+// Count folds every trace of l into new counts over its alphabet.
+func Count(l *event.Log) *Counts {
+	c := NewCounts(l.NumEvents())
+	for _, t := range l.Traces {
+		c.Add(t)
+	}
+	return c
+}
+
+// Grow extends the alphabet to n events; the new events have zero counts.
+// Growing re-lays out the dense edge table, or moves it into the map once n
+// passes denseMax. A smaller n is a no-op.
+func (c *Counts) Grow(n int) {
+	if n <= c.n {
+		return
+	}
+	c.vert = append(c.vert, make([]tally, n-c.n)...)
+	if n <= denseMax {
+		dense := make([]int32, n*n)
+		for from := 0; from < c.n; from++ {
+			copy(dense[from*n:], c.dense[from*c.n:(from+1)*c.n])
+		}
+		c.dense = dense
+	} else if c.sparse == nil {
+		c.sparse = make(map[Edge]int32, len(c.edges))
+		for s, e := range c.edges {
+			c.sparse[e] = int32(s)
+		}
+		c.dense = nil
+	}
+	c.n = n
+}
+
+// slotOf returns the slot of the edge from→to, or -1 when the edge has not
+// occurred.
+func (c *Counts) slotOf(from, to event.ID) int32 {
+	if c.sparse != nil {
+		if s, ok := c.sparse[Edge{from, to}]; ok {
+			return s
+		}
+		return -1
+	}
+	return c.dense[int(from)*c.n+int(to)] - 1
+}
+
+// newSlot gives the edge from→to, which has not occurred, an empty slot.
+func (c *Counts) newSlot(from, to event.ID) int32 {
+	s := int32(len(c.edges))
+	c.edges = append(c.edges, Edge{from, to})
+	c.edge = append(c.edge, tally{})
+	if c.sparse != nil {
+		c.sparse[Edge{from, to}] = s
+	} else {
+		c.dense[int(from)*c.n+int(to)] = s + 1
+	}
+	return s
+}
+
+// Add folds one trace into the counts. Every id in t must be below the
+// alphabet size the counts were created or grown to.
+func (c *Counts) Add(t event.Trace) {
+	c.traces++
+	stamp := c.traces
+	for i, e := range t {
+		if v := &c.vert[e]; v.last != stamp {
+			v.last = stamp
+			v.count++
+		}
+		if i+1 < len(t) {
+			s := c.slotOf(e, t[i+1])
+			if s < 0 {
+				s = c.newSlot(e, t[i+1])
+			}
+			if ed := &c.edge[s]; ed.last != stamp {
+				ed.last = stamp
+				ed.count++
+			}
+		}
+	}
+}
+
+// Graph materializes the dependency graph of the counts, labeled with a,
+// which must name the counts' n events. Every frequency is its count times
+// 1/traces. The graph shares nothing with the counts, so later folds leave
+// it unchanged.
+func (c *Counts) Graph(a *event.Alphabet) *Graph {
 	g := &Graph{
-		alphabet:   l.Alphabet,
-		n:          n,
-		vertexFreq: make([]float64, n),
+		alphabet:   a,
+		n:          c.n,
+		vertexFreq: make([]float64, c.n),
 	}
-	// Count each vertex and edge at most once per trace: vlast and elast
-	// hold the 1-based number of the last trace that counted them.
-	vlast := make([]int, n)
-	var (
-		ids   = make(map[Edge]int) // edge → first-seen index
-		first []Edge
-		count []float64
-		elast []int
-	)
-	for ti, t := range l.Traces {
-		stamp := ti + 1
-		for i, e := range t {
-			if vlast[e] != stamp {
-				vlast[e] = stamp
-				g.vertexFreq[e]++
-			}
-			if i+1 < len(t) {
-				ed := Edge{e, t[i+1]}
-				k, ok := ids[ed]
-				if !ok {
-					k = len(first)
-					ids[ed] = k
-					first = append(first, ed)
-					count = append(count, 0)
-					elast = append(elast, 0)
-				}
-				if elast[k] != stamp {
-					elast[k] = stamp
-					count[k]++
-				}
-			}
-		}
+	inv := 0.0
+	if c.traces > 0 {
+		inv = 1 / float64(c.traces)
 	}
-	g.edges = first
-	sort.Slice(g.edges, func(i, j int) bool {
-		if g.edges[i].From != g.edges[j].From {
-			return g.edges[i].From < g.edges[j].From
-		}
-		return g.edges[i].To < g.edges[j].To
-	})
-	g.edgeFreq = make([]float64, len(g.edges))
-	for i, e := range g.edges {
-		g.edgeFreq[i] = count[ids[e]]
+	for v, t := range c.vert {
+		g.vertexFreq[v] = float64(t.count) * inv
 	}
-	if l.NumTraces() > 0 {
-		inv := 1 / float64(l.NumTraces())
-		for i := range g.vertexFreq {
-			g.vertexFreq[i] *= inv
-		}
-		for i := range g.edgeFreq {
-			g.edgeFreq[i] *= inv
-		}
+	c.order = c.sortedSlots(c.order[:0])
+	g.edges = make([]Edge, len(c.order))
+	g.edgeFreq = make([]float64, len(c.order))
+	for i, s := range c.order {
+		g.edges[i] = c.edges[s]
+		g.edgeFreq[i] = float64(c.edge[s].count) * inv
 	}
 	g.buildTables()
 	return g
+}
+
+// sortedSlots appends every slot to dst in (From, To) order of its edge. A
+// dense table yields that order row by row; map slots are sorted.
+func (c *Counts) sortedSlots(dst []int32) []int32 {
+	if c.sparse == nil {
+		for _, s := range c.dense {
+			if s != 0 {
+				dst = append(dst, s-1)
+			}
+		}
+		return dst
+	}
+	for s := range c.edges {
+		dst = append(dst, int32(s))
+	}
+	sort.Slice(dst, func(i, j int) bool {
+		a, b := c.edges[dst[i]], c.edges[dst[j]]
+		if a.From != b.From {
+			return a.From < b.From
+		}
+		return a.To < b.To
+	})
+	return dst
 }
 
 // buildTables derives the adjacency windows and the frequency orders from

@@ -1,6 +1,7 @@
 package depgraph
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"strings"
@@ -273,7 +274,13 @@ func newRefGraph(l *event.Log) refGraph {
 // all n×n vertex pairs, so absent edges are probed as well as present ones.
 func checkAgainstRef(t *testing.T, l *event.Log) {
 	t.Helper()
-	g, ref := Build(l), newRefGraph(l)
+	checkGraphAgainstRef(t, Build(l), l)
+}
+
+// checkGraphAgainstRef is checkAgainstRef for a graph g of l made by any path.
+func checkGraphAgainstRef(t *testing.T, g *Graph, l *event.Log) {
+	t.Helper()
+	ref := newRefGraph(l)
 	n := l.NumEvents()
 	if g.NumVertices() != n || g.NumEdges() != len(ref.edge) {
 		t.Fatalf("V=%d E=%d, reference V=%d E=%d", g.NumVertices(), g.NumEdges(), n, len(ref.edge))
@@ -371,5 +378,88 @@ func TestGraphMatchesTraceReferenceProperty(t *testing.T) {
 			l.Append(tr)
 		}
 		checkAgainstRef(t, l)
+	}
+}
+
+// Property: folding a log into Counts one trace at a time, while its
+// alphabet grows, yields after every fold exactly the graph Build makes of
+// the prefix, in every accessor, and that graph agrees with the map
+// reference. Besides small alphabets, one log grows across the dense-table
+// bound, so edges counted in the table carry over into the map, and one
+// starts above the bound.
+func TestCountsMatchBuildProperty(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	for iter := 0; iter < 80; iter++ {
+		n, grow, traces := 1+rng.Intn(6), rng.Intn(4), 1+rng.Intn(24)
+		switch iter {
+		case 0:
+			n, grow, traces = denseMax-2, 6, 24
+		case 1:
+			n, grow, traces = denseMax+40, 3, 16
+		}
+		l := event.NewLog()
+		for i := 0; i < n; i++ {
+			l.Alphabet.Intern(fmt.Sprintf("e%d", i))
+		}
+		c := NewCounts(l.NumEvents())
+		for step := 0; step < traces; step++ {
+			if grow > 0 && rng.Intn(3) == 0 {
+				grow--
+				l.Alphabet.Intern(fmt.Sprintf("e%d", l.NumEvents()))
+				c.Grow(l.NumEvents())
+			}
+			k := l.NumEvents()
+			tr := make(event.Trace, rng.Intn(10))
+			for j := range tr {
+				tr[j] = event.ID(rng.Intn(k))
+				if rng.Intn(4) == 0 {
+					// Favour the newest events, so grown ids take part.
+					tr[j] = event.ID(k - 1 - rng.Intn(min(k, 3)))
+				}
+			}
+			l.Append(tr)
+			c.Add(tr)
+			g := c.Graph(l.Alphabet)
+			if d := Diff(g, Build(l)); d != "" {
+				t.Fatalf("iter %d step %d (%d events): folded graph vs Build: %s", iter, step, l.NumEvents(), d)
+			}
+			checkGraphAgainstRef(t, g, l)
+		}
+		if iter == 0 && c.sparse == nil {
+			t.Fatalf("%d events: the edge table never moved into the map", l.NumEvents())
+		}
+	}
+}
+
+// A graph must not change when its counts fold more traces later.
+func TestCountsGraphIsImmutable(t *testing.T) {
+	l := event.FromStrings("A B C", "B C A")
+	c := Count(l)
+	g := c.Graph(l.Alphabet)
+	want := Build(l)
+	l.AppendNames("C", "A", "D")
+	c.Grow(l.NumEvents())
+	c.Add(l.Traces[len(l.Traces)-1])
+	if d := Diff(g, want); d != "" {
+		t.Fatalf("graph changed after a later fold: %s", d)
+	}
+	if d := Diff(c.Graph(l.Alphabet), Build(l)); d != "" {
+		t.Fatalf("graph after the fold vs Build: %s", d)
+	}
+}
+
+func TestDiff(t *testing.T) {
+	ab := Build(event.FromStrings("A B", "A B"))
+	if d := Diff(ab, Build(event.FromStrings("A B", "A B"))); d != "" {
+		t.Fatalf("equal graphs differ: %s", d)
+	}
+	for _, other := range []*event.Log{
+		event.FromStrings("A B", "A"),        // same edges, other frequencies
+		event.FromStrings("A B", "A B", "B"), // other vertex frequency
+		event.FromStrings("A B C"),           // another alphabet
+	} {
+		if Diff(ab, Build(other)) == "" {
+			t.Errorf("Diff found no difference from %v", other.Traces)
+		}
 	}
 }

@@ -1,8 +1,10 @@
 package match_test
 
 import (
+	"fmt"
 	"testing"
 
+	"eventmatch/internal/event"
 	"eventmatch/internal/gen"
 	"eventmatch/internal/match"
 )
@@ -67,5 +69,81 @@ func TestAStarAllocsPerChild(t *testing.T) {
 	t.Logf("%.0f allocs per search, %d children, %.2f per child", allocs, generated, perChild)
 	if perChild > 3.25 {
 		t.Errorf("%.2f allocs per generated child, want ≤ 3.25", perChild)
+	}
+}
+
+// streamNames renders l's traces as event names, the form Append takes.
+func streamNames(l *event.Log) [][]string {
+	names := make([][]string, l.NumTraces())
+	for i, tr := range l.Traces {
+		names[i] = make([]string, len(tr))
+		for j, e := range tr {
+			names[i][j] = l.Alphabet.Name(e)
+		}
+	}
+	return names
+}
+
+// openStream opens a stream problem over g's source log and patterns whose
+// target log holds the first n of the given traces.
+func openStream(tb testing.TB, g *gen.Generated, names [][]string, n int) *match.StreamProblem {
+	tb.Helper()
+	l2 := event.NewLog()
+	for _, tr := range names[:n] {
+		l2.AppendNames(tr...)
+	}
+	sp, err := match.NewStreamProblem(g.L1, l2, bindPatterns(tb, g), match.ModePattern)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return sp
+}
+
+// BenchmarkStreamAppend times StreamProblem.Append on the 11-event ERP
+// workload with 64 and 512 target traces already in the session; one op
+// appends one trace. Every 64 appends the session is reopened at its size
+// off the clock, so it never grows more than 64 traces past its label.
+func BenchmarkStreamAppend(b *testing.B) {
+	g := gen.RealLike(1, 600)
+	names := streamNames(g.L2)
+	for _, size := range []int{64, 512} {
+		b.Run(fmt.Sprintf("traces=%d", size), func(b *testing.B) {
+			var sp *match.StreamProblem
+			next := 0
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if i%64 == 0 {
+					b.StopTimer()
+					sp, next = openStream(b, g, names, size), size
+					b.StartTimer()
+				}
+				sp.Append(names[next]...)
+				next++
+			}
+		})
+	}
+}
+
+// TestStreamAppendAllocs gates the allocations of one StreamProblem.Append
+// on the ERP workload (20 measured): the interned trace, the delta, and
+// the freshly materialized G2 with its tables. None grows with the session.
+func TestStreamAppendAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation changes allocation counts")
+	}
+	if match.DebugAssertions {
+		t.Skip("the matchdebug assertion rebuilds G2 on every append")
+	}
+	g := gen.RealLike(1, 300)
+	names := streamNames(g.L2)
+	sp, next := openStream(t, g, names, 64), 64
+	allocs := testing.AllocsPerRun(100, func() {
+		sp.Append(names[next]...)
+		next++
+	})
+	t.Logf("%.1f allocs per append", allocs)
+	if allocs > 24 {
+		t.Errorf("%.1f allocs per append, want ≤ 24", allocs)
 	}
 }

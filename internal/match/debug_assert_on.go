@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math"
 
+	"eventmatch/internal/depgraph"
 	"eventmatch/internal/event"
 )
 
@@ -51,5 +52,13 @@ func assertHeapInvariant(label string, q *nodeHeap) {
 func assertChildBound(pr *Problem, kind BoundKind, m Mapping, used []bool, h float64) {
 	if full := pr.hBound(kind, m, used); math.Float64bits(full) != math.Float64bits(h) {
 		panic(fmt.Sprintf("matchdebug: derived %v bound of child %v is %v, full hBound %v", kind, m, h, full))
+	}
+}
+
+// assertFoldedG2 panics when g, the target graph a stream append folded from
+// trace counts, differs in any table or bit from a fresh Build of the log l.
+func assertFoldedG2(g *depgraph.Graph, l *event.Log) {
+	if d := depgraph.Diff(g, depgraph.Build(l)); d != "" {
+		panic(fmt.Sprintf("matchdebug: folded G2 differs from Build of the grown log: %s", d))
 	}
 }

@@ -8,6 +8,7 @@ import (
 	"strings"
 	"testing"
 
+	"eventmatch/internal/depgraph"
 	"eventmatch/internal/event"
 )
 
@@ -67,5 +68,15 @@ func TestAssertChildBound(t *testing.T) {
 	assertChildBound(pr, BoundSharp, m, used, h)
 	mustPanic(t, "full hBound", func() {
 		assertChildBound(pr, BoundSharp, m, used, h+1e-12)
+	})
+}
+
+func TestAssertFoldedG2(t *testing.T) {
+	l := event.FromStrings("A B C", "A C B")
+	assertFoldedG2(depgraph.Build(l), l)
+	stale := depgraph.Build(l)
+	l.AppendNames("B", "A")
+	mustPanic(t, "folded G2", func() {
+		assertFoldedG2(stale, l)
 	})
 }

@@ -2,6 +2,10 @@ package match
 
 import "eventmatch/internal/event"
 
+// DebugAssertions exposes whether the matchdebug assertions are compiled
+// in; some of them allocate, so allocation gates skip under them.
+const DebugAssertions = debugAssertions
+
 // HBound exposes hBound to the external tests.
 func (pr *Problem) HBound(kind BoundKind, m Mapping, used []bool) float64 {
 	return pr.hBound(kind, m, used)

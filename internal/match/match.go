@@ -179,11 +179,18 @@ type Problem struct {
 // them. User patterns with zero frequency in L1 are dropped (they can never
 // contribute to the distance).
 func BuildProblem(l1, l2 *event.Log, user []*pattern.Pattern, mode Mode) (*Problem, error) {
+	pr, _, err := buildProblem(l1, l2, user, mode)
+	return pr, err
+}
+
+// buildProblem is BuildProblem that also returns the trace counts G2 was
+// materialized from, for a StreamProblem to fold its appends into.
+func buildProblem(l1, l2 *event.Log, user []*pattern.Pattern, mode Mode) (*Problem, *depgraph.Counts, error) {
 	if err := l1.Validate(); err != nil {
-		return nil, fmt.Errorf("match: L1: %w", err)
+		return nil, nil, fmt.Errorf("match: L1: %w", err)
 	}
 	if err := l2.Validate(); err != nil {
-		return nil, fmt.Errorf("match: L2: %w", err)
+		return nil, nil, fmt.Errorf("match: L2: %w", err)
 	}
 	pr := &Problem{
 		L1: l1, L2: l2,
@@ -242,11 +249,11 @@ func BuildProblem(l1, l2 *event.Log, user []*pattern.Pattern, mode Mode) (*Probl
 	if mode == ModePattern || mode == ModeUserPatterns {
 		for i, p := range user {
 			if p == nil {
-				return nil, fmt.Errorf("match: user pattern %d is nil", i)
+				return nil, nil, fmt.Errorf("match: user pattern %d is nil", i)
 			}
 			for _, v := range p.Events() {
 				if int(v) >= l1.NumEvents() {
-					return nil, fmt.Errorf("match: user pattern %d uses event %d outside L1's alphabet", i, v)
+					return nil, nil, fmt.Errorf("match: user pattern %d uses event %d outside L1's alphabet", i, v)
 				}
 			}
 			f1 := eng1.Frequency(p)
@@ -271,8 +278,9 @@ func BuildProblem(l1, l2 *event.Log, user []*pattern.Pattern, mode Mode) (*Probl
 	}
 	pr.pix = pattern.NewPatternIndex(ps)
 	pr.order = pr.expansionOrder()
-	pr.setG2(depgraph.Build(l2g))
-	return pr, nil
+	c2 := depgraph.Count(l2g)
+	pr.setG2(c2.Graph(l2g.Alphabet))
+	return pr, c2, nil
 }
 
 // classify determines the evaluation kind of a user pattern: single events

@@ -15,16 +15,25 @@ import (
 //
 //   - the target trace index It is updated in place (TraceIndex.Apply),
 //   - the frequency memo drops exactly the entries the new trace can touch
-//     (FrequencyCache.Invalidate), plus every entry mentioning an artificial
-//     padding id that just became a real event (InvalidateEvents),
-//   - the target dependency graph G2 is rebuilt (it stores normalized
-//     frequencies, not counts, so every edge weight changes per append; the
-//     build is linear in the log and never dominates a search),
+//     (FrequencyCache.Invalidate),
+//   - the new trace is folded into G2's raw vertex and edge trace-counts
+//     (depgraph.Counts.Add), and G2 is materialized afresh from them: every
+//     normalized frequency changes per append, but the counts change only
+//     where the trace occurs, so an append costs O(|trace| + V + E), not a
+//     pass over the log,
 //
 // after which the wrapped Problem is indistinguishable from one freshly
 // built over the grown log (differential-tested in streamprob_test.go), and
 // any search can run against it — typically re-seeded from the previous
 // published mapping via Options.Seed.
+//
+// When L2's alphabet grows under padding, ids that were artificial padding
+// become real events. No memoized frequency goes stale by that: padding ids
+// occur in no trace, so an entry mentioning a just-real id X has count 0.
+// Either the appended trace holds every event of the entry, and Invalidate
+// drops it, or it lacks one, and since X occurs in no earlier trace either,
+// the count is still exactly 0. G2's counts of X are likewise 0 until the
+// fold of the trace that introduces it.
 //
 // A StreamProblem is single-writer: Append must not run concurrently with
 // another Append or with a search on the wrapped Problem. The session layer
@@ -36,6 +45,9 @@ type StreamProblem struct {
 	// is fixed for the problem's lifetime; Append re-syncs its trace slice
 	// and rebuilds its alphabet when L2's alphabet grows.
 	view *event.Log
+	// counts holds view's vertex and edge trace-counts; G2 is materialized
+	// from them.
+	counts *depgraph.Counts
 }
 
 // NewStreamProblem builds a matching instance whose target log can grow.
@@ -43,11 +55,11 @@ type StreamProblem struct {
 // start state. The logs are retained; l2 must only be mutated through
 // Append.
 func NewStreamProblem(l1, l2 *event.Log, user []*pattern.Pattern, mode Mode) (*StreamProblem, error) {
-	pr, err := BuildProblem(l1, l2, user, mode)
+	pr, counts, err := buildProblem(l1, l2, user, mode)
 	if err != nil {
 		return nil, err
 	}
-	return &StreamProblem{pr: pr, view: pr.fc2.Engine().Index().Log()}, nil
+	return &StreamProblem{pr: pr, view: pr.fc2.Engine().Index().Log(), counts: counts}, nil
 }
 
 // Problem returns the wrapped problem. It reflects every append made so far;
@@ -75,22 +87,23 @@ func (sp *StreamProblem) Append(names ...string) event.Delta {
 		pr.n2real = pr.L2.NumEvents()
 		pr.n2pad = pr.n2real
 	}
-	sp.pr.fc2.Engine().Index().Apply(d)
+	pr.fc2.Engine().Index().Apply(d)
 	pr.fc2.Invalidate(d.Events)
-	pr.setG2(depgraph.Build(sp.view))
+	sp.counts.Grow(sp.view.NumEvents())
+	sp.counts.Add(d.Trace)
+	pr.setG2(sp.counts.Graph(sp.view.Alphabet))
+	assertFoldedG2(pr.G2, sp.view)
 	return d
 }
 
 // growPaddedAlphabet rebuilds the padded view's alphabet after L2 interned
 // new events: real names occupy [0, |V2|), artificial padding fills up to
 // max(|V1|, |V2|). Ids in [old |V2|, new |V2|) switch meaning from
-// artificial padding to real events, so every memoized frequency mentioning
-// them is dropped — their cached signatures describe a different event now.
-// Higher artificial ids keep their position, name and all-zero index rows,
-// so entries touching only them stay valid.
+// artificial padding to real events; higher artificial ids keep their
+// position, name and all-zero index rows. (Why no memoized frequency needs
+// dropping for the switch: see StreamProblem.)
 func (sp *StreamProblem) growPaddedAlphabet() {
 	pr := sp.pr
-	oldReal := pr.n2real
 	n2real := pr.L2.NumEvents()
 	n2pad := n2real
 	if n1 := pr.L1.NumEvents(); n1 > n2pad {
@@ -101,10 +114,5 @@ func (sp *StreamProblem) growPaddedAlphabet() {
 		a.Intern(fmt.Sprintf("\x00artificial-%d", i))
 	}
 	sp.view.Alphabet = a
-	ids := make([]event.ID, 0, n2real-oldReal)
-	for id := oldReal; id < n2real; id++ {
-		ids = append(ids, event.ID(id))
-	}
-	pr.fc2.InvalidateEvents(ids)
 	pr.n2real, pr.n2pad = n2real, n2pad
 }

@@ -209,47 +209,4 @@ func TestFrequencyCacheInvalidateTargeted(t *testing.T) {
 	if cache.Invalidations() != 1 {
 		t.Fatalf("Invalidations = %d, want 1", cache.Invalidations())
 	}
-
-	// InvalidateEvents drops unconditionally by id.
-	if n := cache.InvalidateEvents([]event.ID{a}); n != 1 {
-		t.Fatalf("InvalidateEvents dropped %d entries, want 1", n)
-	}
-	cache.Frequency(pAB)
-	if h, m := cache.Stats(); h != 1 || m != 4 {
-		t.Fatalf("after InvalidateEvents hits/misses = %d/%d, want 1/4", h, m)
-	}
-}
-
-// Eviction must unlink the victim from the reverse index so invalidation
-// never double-counts or touches dangling keys.
-func TestFrequencyCacheEvictUnlinks(t *testing.T) {
-	l := event.FromStrings("A B C D")
-	ix := NewTraceIndex(l)
-	cache := NewFrequencyCache(ix)
-	cache.SetMaxEntries(1) // 1 entry per shard after rounding up
-	ids := []event.ID{0, 1, 2, 3}
-	var pats []*Pattern
-	for i := 0; i < len(ids); i++ {
-		for j := 0; j < len(ids); j++ {
-			if i != j {
-				pats = append(pats, MustSeq(Single(ids[i]), Single(ids[j])))
-			}
-		}
-	}
-	for round := 0; round < 3; round++ {
-		for _, p := range pats {
-			cache.Frequency(p)
-		}
-	}
-	// With the cap pressed, invalidating everything must drop at most the
-	// live entries and leave the cache consistent for re-evaluation.
-	dropped := cache.Invalidate(ids)
-	if dropped < 0 {
-		t.Fatalf("dropped = %d", dropped)
-	}
-	for _, p := range pats {
-		if got, want := cache.Frequency(p), p.Frequency(l); got != want {
-			t.Fatalf("post-evict f = %v, want %v", got, want)
-		}
-	}
 }

@@ -180,7 +180,6 @@ type cacheShard struct {
 	byEvent map[event.ID][]string // reverse index: event → keys of entries mentioning it
 	hits    atomic.Int64
 	miss    atomic.Int64
-	evict   atomic.Int64
 	inval   atomic.Int64
 }
 
@@ -210,17 +209,16 @@ func (sh *cacheShard) unlink(key string, events []event.ID) {
 //
 // The cache is safe for concurrent use: the memo table is split into
 // cacheShards segments each guarded by its own mutex (keys are distributed
-// by FNV-1a hash), and each shard keeps its own atomic hit/miss/evict
+// by FNV-1a hash), and each shard keeps its own atomic hit/miss/invalidation
 // counters so concurrent lookups never contend on a shared cache-wide
 // counter cache line. Signature keys are rendered into pooled byte buffers
 // and looked up via the compiler's zero-copy map[string] access, so a cache
 // hit allocates nothing; only a miss pays one string allocation when the
 // entry is inserted.
 type FrequencyCache struct {
-	eng         *Engine
-	shards      [cacheShards]cacheShard
-	maxPerShard atomic.Int64 // 0 = unbounded
-	sigBufs     sync.Pool    // *[]byte signature scratch
+	eng     *Engine
+	shards  [cacheShards]cacheShard
+	sigBufs sync.Pool // *[]byte signature scratch
 }
 
 // NewFrequencyCache wraps a trace index with a frequency memo table using a
@@ -244,29 +242,12 @@ func NewFrequencyCacheEngine(eng *Engine) *FrequencyCache {
 // n <= 0 selects GOMAXPROCS; 1 is fully sequential.
 func (c *FrequencyCache) SetWorkers(n int) { c.eng.SetWorkers(n) }
 
-// SetMaxEntries bounds the memo table to roughly n entries across all
-// shards; n <= 0 removes the bound. When a shard exceeds its share, an
-// arbitrary entry is dropped before the insert — frequencies are
-// recomputable, so any victim is correct, and an arbitrary map key avoids
-// per-entry bookkeeping on the hit path.
-func (c *FrequencyCache) SetMaxEntries(n int) {
-	if n <= 0 {
-		c.maxPerShard.Store(0)
-		return
-	}
-	per := int64((n + cacheShards - 1) / cacheShards)
-	if per < 1 {
-		per = 1
-	}
-	c.maxPerShard.Store(per)
-}
-
 // Engine returns the underlying frequency engine.
 func (c *FrequencyCache) Engine() *Engine { return c.eng }
 
 // SetTelemetry attaches a metrics registry to the cache and its engine.
 // Cache-level values are published as func gauges evaluated at snapshot
-// time (cache.hits, cache.misses, cache.evictions, cache.entries,
+// time (cache.hits, cache.misses, cache.invalidations, cache.entries,
 // cache.shard_imbalance), so the hot lookup path pays no registry work.
 // A nil registry detaches the engine and is otherwise a no-op.
 func (c *FrequencyCache) SetTelemetry(reg *telemetry.Registry) {
@@ -285,13 +266,6 @@ func (c *FrequencyCache) SetTelemetry(reg *telemetry.Registry) {
 		var n int64
 		for i := range c.shards {
 			n += c.shards[i].miss.Load()
-		}
-		return n
-	})
-	reg.RegisterFunc("cache.evictions", func() int64 {
-		var n int64
-		for i := range c.shards {
-			n += c.shards[i].evict.Load()
 		}
 		return n
 	})
@@ -378,19 +352,7 @@ func (c *FrequencyCache) FrequencyContext(ctx context.Context, p *Pattern) (floa
 		c.sigBufs.Put(bufp)
 		return 0, err
 	}
-	max := c.maxPerShard.Load()
 	sh.mu.Lock()
-	if max > 0 {
-		for int64(len(sh.m)) >= max {
-			//matchlint:ignore mapiter -- random-victim eviction: map order is the point
-			for victim := range sh.m {
-				sh.unlink(victim, sh.m[victim].events)
-				delete(sh.m, victim)
-				break
-			}
-			sh.evict.Add(1)
-		}
-	}
 	if _, exists := sh.m[string(key)]; !exists {
 		ks := string(key) // insert allocates the key string once
 		for _, v := range p.Events() {
@@ -457,36 +419,6 @@ func (c *FrequencyCache) Invalidate(events []event.ID) int {
 	return dropped
 }
 
-// InvalidateEvents unconditionally drops every memoized entry mentioning any
-// of the given event ids and returns how many entries were dropped. This is
-// the coarse form for id-meaning changes (an artificial padding id becoming
-// a real event when the target alphabet grows): the cached signatures keyed
-// under those ids describe a different event now, regardless of containment.
-func (c *FrequencyCache) InvalidateEvents(ids []event.ID) int {
-	if len(ids) == 0 {
-		return 0
-	}
-	dropped := 0
-	for i := range c.shards {
-		sh := &c.shards[i]
-		sh.mu.Lock()
-		for _, v := range ids {
-			// unlink mutates sh.byEvent[v]; walk a private copy.
-			keys := append([]string(nil), sh.byEvent[v]...)
-			for _, key := range keys {
-				if e, ok := sh.m[key]; ok {
-					sh.unlink(key, e.events)
-					delete(sh.m, key)
-					sh.inval.Add(1)
-					dropped++
-				}
-			}
-		}
-		sh.mu.Unlock()
-	}
-	return dropped
-}
-
 // Invalidations reports how many memoized entries targeted invalidation has
 // dropped, summed across shards.
 func (c *FrequencyCache) Invalidations() int {
@@ -505,16 +437,6 @@ func (c *FrequencyCache) Stats() (hits, misses int) {
 		m += c.shards[i].miss.Load()
 	}
 	return int(h), int(m)
-}
-
-// Evictions reports how many memoized entries SetMaxEntries pressure has
-// dropped, summed across shards.
-func (c *FrequencyCache) Evictions() int {
-	var n int64
-	for i := range c.shards {
-		n += c.shards[i].evict.Load()
-	}
-	return int(n)
 }
 
 // appendSignature renders a canonical byte string for the pattern structure
