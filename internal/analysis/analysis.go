@@ -238,16 +238,3 @@ func splitPath(p string) []string {
 	}
 	return segs
 }
-
-// RunSingle applies one analyzer to one already type-checked package,
-// honoring ignore directives. It exists for the analysistest fixture runner
-// and white-box tests.
-func RunSingle(a *Analyzer, fset *token.FileSet, files []*ast.File, pkg *types.Package, info *types.Info) ([]Diagnostic, error) {
-	return RunPackages([]*Package{{
-		Path:  pkg.Path(),
-		Fset:  fset,
-		Files: files,
-		Types: pkg,
-		Info:  info,
-	}}, []*Analyzer{a})
-}

@@ -96,9 +96,9 @@ func e() {}
 		},
 	}
 	fset, files, pkg, info := checkString(t, src)
-	diags, err := RunSingle(probe, fset, files, pkg, info)
+	diags, err := RunPackages([]*Package{{Path: pkg.Path(), Fset: fset, Files: files, Types: pkg, Info: info}}, []*Analyzer{probe})
 	if err != nil {
-		t.Fatalf("RunSingle: %v", err)
+		t.Fatalf("RunPackages: %v", err)
 	}
 	var got []string
 	for _, d := range diags {

@@ -10,7 +10,6 @@ package event
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
 	"eventmatch/internal/telemetry"
@@ -78,23 +77,6 @@ func (a *Alphabet) Names() []string {
 
 // Trace is a finite sequence of events ordered by occurrence timestamp.
 type Trace []ID
-
-// Contains reports whether the trace contains event v.
-func (t Trace) Contains(v ID) bool {
-	for _, e := range t {
-		if e == v {
-			return true
-		}
-	}
-	return false
-}
-
-// Clone returns a copy of the trace.
-func (t Trace) Clone() Trace {
-	out := make(Trace, len(t))
-	copy(out, t)
-	return out
-}
 
 // String renders the trace with the given alphabet, e.g. "<A B C D>".
 func (t Trace) String(a *Alphabet) string {
@@ -220,41 +202,6 @@ func (l *Log) NumTraces() int { return len(l.Traces) }
 // NumEvents reports the size of the log's alphabet.
 func (l *Log) NumEvents() int { return l.Alphabet.Len() }
 
-// TotalLength reports the total number of event occurrences across traces.
-func (l *Log) TotalLength() int {
-	n := 0
-	for _, t := range l.Traces {
-		n += len(t)
-	}
-	return n
-}
-
-// Project returns a new log restricted to the first k events of the alphabet
-// (by id order): every trace is filtered to events with id < k, empty traces
-// are dropped. This is exactly how the paper's experiments vary "event set
-// size" ("projecting the first x events appearing in the dataset").
-func (l *Log) Project(k int) *Log {
-	if k < 0 {
-		k = 0
-	}
-	if k > l.Alphabet.Len() {
-		k = l.Alphabet.Len()
-	}
-	out := &Log{Alphabet: NewAlphabet(l.Alphabet.names[:k]...)}
-	for _, t := range l.Traces {
-		var nt Trace
-		for _, e := range t {
-			if int(e) < k {
-				nt = append(nt, e)
-			}
-		}
-		if len(nt) > 0 {
-			out.Traces = append(out.Traces, nt)
-		}
-	}
-	return out
-}
-
 // ProjectSet returns a new log restricted to the given events, renumbered so
 // that ids[k] becomes event k of the new log. Traces are filtered to the kept
 // events; empty traces are dropped. Duplicate or out-of-range ids are an
@@ -316,37 +263,6 @@ func (l *Log) Validate() error {
 	return nil
 }
 
-// Stats summarizes an event log.
-type Stats struct {
-	Traces      int
-	Events      int     // alphabet size
-	Occurrences int     // total event occurrences
-	MinLen      int     // shortest trace
-	MaxLen      int     // longest trace
-	MeanLen     float64 // average trace length
-}
-
-// Summarize computes log statistics in one pass.
-func (l *Log) Summarize() Stats {
-	s := Stats{Traces: len(l.Traces), Events: l.Alphabet.Len()}
-	if len(l.Traces) == 0 {
-		return s
-	}
-	s.MinLen = len(l.Traces[0])
-	for _, t := range l.Traces {
-		n := len(t)
-		s.Occurrences += n
-		if n < s.MinLen {
-			s.MinLen = n
-		}
-		if n > s.MaxLen {
-			s.MaxLen = n
-		}
-	}
-	s.MeanLen = float64(s.Occurrences) / float64(s.Traces)
-	return s
-}
-
 // RegisterTelemetry publishes the log's shape under the given prefix as
 // func gauges (prefix.traces, prefix.events, prefix.occurrences) evaluated
 // lazily at snapshot time, so a metrics dump self-describes the workload it
@@ -388,12 +304,4 @@ func (l *Log) Frequency() []float64 {
 		freq[i] = float64(c) * inv
 	}
 	return freq
-}
-
-// SortedNames returns the alphabet names in lexicographic order; useful for
-// deterministic output in tools and tests.
-func (l *Log) SortedNames() []string {
-	names := l.Alphabet.Names()
-	sort.Strings(names)
-	return names
 }

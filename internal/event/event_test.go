@@ -77,25 +77,6 @@ func TestTraceString(t *testing.T) {
 	}
 }
 
-func TestTraceContains(t *testing.T) {
-	tr := Trace{0, 1, 2}
-	if !tr.Contains(1) {
-		t.Error("Contains(1) = false, want true")
-	}
-	if tr.Contains(5) {
-		t.Error("Contains(5) = true, want false")
-	}
-}
-
-func TestTraceClone(t *testing.T) {
-	tr := Trace{0, 1, 2}
-	cl := tr.Clone()
-	cl[0] = 9
-	if tr[0] != 0 {
-		t.Error("Clone must not alias the original")
-	}
-}
-
 func TestLogFrequency(t *testing.T) {
 	// A in all 4 traces, B in 2, C in 1 (twice in that trace: counts once).
 	l := FromStrings("A B", "A", "A B C C", "A")
@@ -110,31 +91,6 @@ func TestLogFrequencyEmpty(t *testing.T) {
 	l := NewLog()
 	if f := l.Frequency(); len(f) != 0 {
 		t.Errorf("empty log frequency = %v, want empty", f)
-	}
-}
-
-func TestProject(t *testing.T) {
-	l := FromStrings("A B C D", "C D", "D")
-	p := l.Project(2) // keep A,B
-	if p.NumEvents() != 2 {
-		t.Fatalf("projected alphabet = %d, want 2", p.NumEvents())
-	}
-	// "C D" and "D" become empty and are dropped.
-	if p.NumTraces() != 1 {
-		t.Fatalf("projected traces = %d, want 1", p.NumTraces())
-	}
-	if !reflect.DeepEqual(p.Traces[0], Trace{0, 1}) {
-		t.Errorf("projected trace = %v, want [0 1]", p.Traces[0])
-	}
-}
-
-func TestProjectBounds(t *testing.T) {
-	l := FromStrings("A B")
-	if p := l.Project(-1); p.NumEvents() != 0 || p.NumTraces() != 0 {
-		t.Error("Project(-1) should produce an empty log")
-	}
-	if p := l.Project(99); p.NumEvents() != 2 || p.NumTraces() != 1 {
-		t.Error("Project beyond alphabet should keep everything")
 	}
 }
 
@@ -166,37 +122,12 @@ func TestValidate(t *testing.T) {
 	}
 }
 
-func TestSummarize(t *testing.T) {
-	l := FromStrings("A B C", "A", "A B")
-	s := l.Summarize()
-	if s.Traces != 3 || s.Events != 3 || s.Occurrences != 6 {
-		t.Errorf("Stats = %+v", s)
-	}
-	if s.MinLen != 1 || s.MaxLen != 3 || s.MeanLen != 2 {
-		t.Errorf("lengths = %+v", s)
-	}
-}
-
-func TestSummarizeEmpty(t *testing.T) {
-	s := NewLog().Summarize()
-	if s.Traces != 0 || s.MeanLen != 0 {
-		t.Errorf("empty stats = %+v", s)
-	}
-}
-
 func TestAppendNames(t *testing.T) {
 	l := NewLog()
 	l.AppendNames("A", "B")
 	l.AppendNames("B", "C")
 	if l.NumTraces() != 2 || l.NumEvents() != 3 {
 		t.Errorf("traces=%d events=%d", l.NumTraces(), l.NumEvents())
-	}
-}
-
-func TestSortedNames(t *testing.T) {
-	l := FromStrings("B A C")
-	if got := l.SortedNames(); !reflect.DeepEqual(got, []string{"A", "B", "C"}) {
-		t.Errorf("SortedNames = %v", got)
 	}
 }
 
@@ -232,54 +163,6 @@ func TestFrequencyBoundsProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
-	}
-}
-
-// Property: Project(k) never contains ids >= k and never grows the log.
-func TestProjectProperty(t *testing.T) {
-	f := func(seed int64, kRaw uint8) bool {
-		rng := rand.New(rand.NewSource(seed))
-		l := NewLog()
-		n := 1 + rng.Intn(10)
-		for i := 0; i < n; i++ {
-			l.Alphabet.Intern(string(rune('A' + i)))
-		}
-		for i := 0; i < rng.Intn(15); i++ {
-			tr := make(Trace, rng.Intn(10))
-			for j := range tr {
-				tr[j] = ID(rng.Intn(n))
-			}
-			l.Append(tr)
-		}
-		k := int(kRaw) % (n + 1)
-		p := l.Project(k)
-		if p.NumTraces() > l.NumTraces() {
-			return false
-		}
-		for _, tr := range p.Traces {
-			if len(tr) == 0 {
-				return false // empty traces must be dropped
-			}
-			for _, e := range tr {
-				if int(e) >= k {
-					return false
-				}
-			}
-		}
-		return p.Validate() == nil
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestTotalLength(t *testing.T) {
-	l := FromStrings("A B C", "A")
-	if got := l.TotalLength(); got != 4 {
-		t.Errorf("TotalLength = %d, want 4", got)
-	}
-	if got := NewLog().TotalLength(); got != 0 {
-		t.Errorf("empty TotalLength = %d", got)
 	}
 }
 

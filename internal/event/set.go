@@ -1,7 +1,5 @@
 package event
 
-import "math/bits"
-
 // Set is a dense bitset over event IDs: bit v of the set (word v/64, bit
 // v%64) is 1 iff event v is a member. It is the membership representation of
 // the dense-ID kernel (see PERFORMANCE.md): alphabets intern names to
@@ -14,14 +12,6 @@ import "math/bits"
 // IDs such as None, via the unsigned conversion).
 type Set struct {
 	words []uint64
-}
-
-// NewSet returns a set pre-sized to hold IDs in [0, n) without growing.
-func NewSet(n int) *Set {
-	if n <= 0 {
-		return &Set{}
-	}
-	return &Set{words: make([]uint64, (n+63)/64)}
 }
 
 // Add inserts v, growing the set as needed. Negative IDs are ignored.
@@ -43,13 +33,4 @@ func (s *Set) Add(v ID) {
 func (s *Set) Has(v ID) bool {
 	w := uint(v) >> 6
 	return w < uint(len(s.words)) && s.words[w]&(1<<(uint(v)&63)) != 0
-}
-
-// Count returns the number of members (popcount over the words).
-func (s *Set) Count() int {
-	n := 0
-	for _, w := range s.words {
-		n += bits.OnesCount64(w)
-	}
-	return n
 }

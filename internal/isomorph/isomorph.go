@@ -12,11 +12,10 @@ import "fmt"
 
 // Graph is a simple directed graph on vertices 0..N-1.
 type Graph struct {
-	N     int
-	adj   map[int64]bool
-	succ  [][]int
-	pred  [][]int
-	edges int
+	N    int
+	adj  map[int64]bool
+	succ [][]int
+	pred [][]int
 }
 
 // NewGraph returns an empty graph with n vertices.
@@ -43,14 +42,10 @@ func (g *Graph) AddEdge(v, u int) {
 	g.adj[key(v, u)] = true
 	g.succ[v] = append(g.succ[v], u)
 	g.pred[u] = append(g.pred[u], v)
-	g.edges++
 }
 
 // HasEdge reports whether v→u is present.
 func (g *Graph) HasEdge(v, u int) bool { return g.adj[key(v, u)] }
-
-// NumEdges reports the number of edges.
-func (g *Graph) NumEdges() int { return g.edges }
 
 // OutDegree and InDegree report vertex degrees.
 func (g *Graph) OutDegree(v int) int { return len(g.succ[v]) }
@@ -69,7 +64,7 @@ func (g *Graph) InDegree(v int) int { return len(g.pred[v]) }
 // on mapped pairs, matching the ⇔ form used in the paper's Theorem 1 proof.
 // It returns the mapping and true on success.
 func FindSubgraphIsomorphism(pattern, target *Graph, induced bool) ([]int, bool) {
-	if pattern.N > target.N || pattern.NumEdges() > target.NumEdges() {
+	if pattern.N > target.N {
 		return nil, false
 	}
 	m := make([]int, pattern.N)
@@ -202,18 +197,4 @@ func Enumerate(pattern, target *Graph, induced bool, visit func(m []int) bool) {
 		return false
 	}
 	rec(0)
-}
-
-// CountEmbeddings counts all monomorphisms (or induced embeddings) of the
-// pattern in the target, up to the given limit (0 = unlimited). Useful for
-// tests and for assessing how "common" a pattern's structure is — the
-// paper's §2.2 guideline says structurally common patterns discriminate
-// poorly.
-func CountEmbeddings(pattern, target *Graph, induced bool, limit int) int {
-	count := 0
-	Enumerate(pattern, target, induced, func([]int) bool {
-		count++
-		return limit == 0 || count < limit
-	})
-	return count
 }

@@ -499,20 +499,6 @@ func (pr *Problem) thetaMatrix(n int) [][]float64 {
 	return theta
 }
 
-// Theta exposes θ(v1, v2) for diagnostics and tests.
-func (pr *Problem) Theta(v1, v2 event.ID) float64 {
-	total := 0.0
-	for _, piIdx := range pr.pix.Containing(v1) {
-		pi := &pr.patterns[piIdx]
-		f2 := pr.G2.VertexFreq(v2)
-		if len(pi.events) > 1 && f2 > pi.f1 {
-			f2 = pi.f1
-		}
-		total += Sim(pi.f1, f2) / float64(len(pi.events))
-	}
-	return total
-}
-
 // alternatingTree is Algorithm 4: grow the maximal alternating tree rooted at
 // row u, updating a copy of the labeling via Formulas (3)/(4) until every
 // column is in the tree. It returns the updated labels, the way array (the

@@ -126,7 +126,7 @@ func BenchmarkStreamAppend(b *testing.B) {
 }
 
 // TestStreamAppendAllocs gates the allocations of one StreamProblem.Append
-// on the ERP workload (20 measured): the interned trace, the delta, and
+// on the ERP workload (18 measured): the interned trace, the delta, and
 // the freshly materialized G2 with its tables. None grows with the session.
 func TestStreamAppendAllocs(t *testing.T) {
 	if raceEnabled {
@@ -143,7 +143,7 @@ func TestStreamAppendAllocs(t *testing.T) {
 		next++
 	})
 	t.Logf("%.1f allocs per append", allocs)
-	if allocs > 24 {
-		t.Errorf("%.1f allocs per append, want ≤ 24", allocs)
+	if allocs > 22 {
+		t.Errorf("%.1f allocs per append, want ≤ 22", allocs)
 	}
 }

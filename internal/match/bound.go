@@ -39,12 +39,10 @@ func (b BoundKind) String() string {
 type boundDep uint8
 
 const (
-	// depAlways: recomputed for every child. Complex patterns, every
-	// pattern under the tight bound, and patterns one target short of the
-	// size cut.
+	// depAlways: recomputed for every child. Complex patterns and every
+	// pattern under the tight bound.
 	depAlways boundDep = iota
-	// depConstant: a zero that stays zero as U2 shrinks (the Prop. 3 cut or
-	// the size cut).
+	// depConstant: a zero that stays zero as U2 shrinks (the Prop. 3 cut).
 	depConstant
 	// depWitness: the value depends only on which of at most four witness
 	// targets are still in U2, so it holds in every child whose b is not
@@ -85,14 +83,13 @@ func (pr *Problem) setG2(g *depgraph.Graph) {
 // boundContext evaluates pattern bounds at one search node: the node's
 // unmapped target set U2 is every v2 with !used[v2]. It walks G2's
 // frequency-ordered tables instead of materializing U2's spectra, and
-// computes |U2| and the maxima fn and fe of Algorithm 2 only when a size
-// cut or complexBound first asks for them. Contexts are scratch, reused
-// across nodes through the problem's boundPool.
+// computes the maxima fn and fe of Algorithm 2 only when complexBound first
+// asks for them. Contexts are scratch, reused across nodes through the
+// problem's boundPool.
 type boundContext struct {
 	pr   *Problem
 	used []bool // used[v2]: v2 is already an image, so not in U2
 
-	nU2        int     // |U2|; -1 until counted
 	maxima     bool    // fnU2 and feU2 are set
 	fnU2, feU2 float64 // max vertex frequency in U2, max edge frequency within U2
 
@@ -102,20 +99,7 @@ type boundContext struct {
 // reset points bc at the node whose used targets are marked in used.
 func (bc *boundContext) reset(pr *Problem, used []bool) {
 	bc.pr, bc.used = pr, used
-	bc.nU2, bc.maxima = -1, false
-}
-
-// numU2 returns |U2|.
-func (bc *boundContext) numU2() int {
-	if bc.nU2 < 0 {
-		bc.nU2 = 0
-		for _, u := range bc.used {
-			if !u {
-				bc.nU2++
-			}
-		}
-	}
-	return bc.nU2
+	bc.maxima = false
 }
 
 // maxFreqs returns fn and fe: the highest vertex frequency in U2 and the
@@ -255,9 +239,15 @@ func (bc *boundContext) bestNeighbourSim(f1 float64, ys []event.ID, fs []float64
 // where allowed is M(mapped events of p) ∪ U2, and reports how the value
 // depends on U2 (with the witnesses in w for depWitness).
 //
-// For complex patterns this is Algorithm 2 / Table 2: Δ = 0 when the pattern
-// cannot fit in the allowed set, otherwise 1 − (f1−fmin)/(f1+fmin) with
-// fmin = min(fn, ω(p)·fe). Two sharpenings apply on top:
+// For complex patterns this is Algorithm 2 / Table 2: 1 − (f1−fmin)/(f1+fmin)
+// with fmin = min(fn, ω(p)·fe). Algorithm 2 also sets Δ = 0 when U2 has
+// fewer targets than p has unmapped events; that cut is left out because no
+// search node can trigger it. Padding keeps |V2| ≥ |V1|, and the used
+// targets of every node that A*, greedy and Heuristic-Advanced evaluate are
+// exactly its mapping's images, so |U2| = |V2| − mapped ≥ |V1| − mapped,
+// which is at least p's unmapped events. (Leaving a zero cut out can only
+// raise Δ, so the bound stays an upper bound on any other input.) Two
+// sharpenings apply on top:
 //
 //   - Proposition 3 on the already-fixed part: if two mapped events of p
 //     share a pattern edge whose image edge is absent from G2, Δ = 0.
@@ -269,25 +259,14 @@ func (bc *boundContext) bestNeighbourSim(f1 float64, ys []event.ID, fs []float64
 //     spectra differ.
 func (bc *boundContext) patternBound(pi *pinfo, m Mapping, sharp bool, w *witnesses) (float64, boundDep) {
 	*w = noWitnesses
+	assertBoundFits(pi, m, bc.used)
 	g := bc.pr.G2
-	mapped := 0
-	for _, v := range pi.events {
-		if m[v] != event.None {
-			mapped++
-		}
-	}
 	// Partially-fixed Prop. 3 cut.
 	for _, e := range pi.edges {
 		a, b := m[e.From], m[e.To]
 		if a != event.None && b != event.None && !g.HasEdge(a, b) {
 			return 0, depConstant
 		}
-	}
-	// Size cut: the pattern needs its unmapped events' images among U2.
-	need := len(pi.events) - mapped
-	nU2 := bc.numU2()
-	if need > nU2 {
-		return 0, depConstant
 	}
 	if !sharp || pi.kind == KindComplex {
 		// Paper-faithful Algorithm 2.
@@ -312,9 +291,6 @@ func (bc *boundContext) patternBound(pi *pinfo, m Mapping, sharp bool, w *witnes
 		default:
 			h = bc.bestEdgeSim(pi.f1, pi.epos, w)
 		}
-	}
-	if need == nU2 {
-		return h, depAlways // the next target taken cuts it to 0
 	}
 	return h, depWitness
 }

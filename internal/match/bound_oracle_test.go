@@ -48,20 +48,11 @@ func oracleBestSim(f1 float64, sorted []float64) float64 {
 // patternBound is patternBound computed from the materialized spectra.
 func (sb *spectrumBound) patternBound(pi *pinfo, m Mapping, sharp bool) float64 {
 	pr := sb.pr
-	mapped := 0
-	for _, v := range pi.events {
-		if m[v] != event.None {
-			mapped++
-		}
-	}
 	for _, e := range pi.edges {
 		a, b := m[e.From], m[e.To]
 		if a != event.None && b != event.None && !pr.G2.HasEdge(a, b) {
 			return 0
 		}
-	}
-	if len(pi.events) > len(sb.vfreqs)+mapped {
-		return 0
 	}
 	if !sharp {
 		return sb.complexBound(pi, m)

@@ -201,8 +201,9 @@ func TestHBoundAllocs(t *testing.T) {
 // parent's cached bounds equals the child's full hBound bit for bit, for
 // every unmapped a and unused b of random parent nodes, under both
 // Algorithm 2 kinds. With withheld, each parent also marks a random number
-// of targets below it used without mapping anything to them, which shrinks
-// U2 below the unmapped events and so reaches the size cut.
+// of targets below it used without mapping anything to them, which can
+// shrink U2 below the unmapped events: no search node does that, but the
+// derivation must stay exact on any used set.
 func checkChildParity(t *testing.T, label string, pr *match.Problem, rng *rand.Rand, parents, withheld int) {
 	t.Helper()
 	for trial := 0; trial < parents; trial++ {
@@ -236,7 +237,7 @@ func TestChildHBoundParity(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	checkChildParity(t, "fig1", buildProblem(t, gen.Fig1()), rng, 100, 0)
 	// Self-loops in G2: an edge bracket can then lie on a single target, so
-	// a child that takes the other one must still see the size cut.
+	// one target can fill two witness slots.
 	loops := event.FromStrings("A A B", "B C C", "C A", "D D A", "B D")
 	checkChildParity(t, "self-loops", buildProblem(t, &gen.Generated{L1: loops, L2: loops}), rng, 200, 2)
 	rl := gen.RealLike(1, 1000)

@@ -15,6 +15,8 @@ func assertInjective(label string, m Mapping) {}
 
 func assertHeapInvariant(label string, q *nodeHeap) {}
 
+func assertBoundFits(pi *pinfo, m Mapping, used []bool) {}
+
 func assertChildBound(pr *Problem, kind BoundKind, m Mapping, used []bool, h float64) {}
 
 func assertFoldedG2(g *depgraph.Graph, l *event.Log) {}

@@ -46,6 +46,41 @@ func assertHeapInvariant(label string, q *nodeHeap) {
 	}
 }
 
+// assertBoundFits panics when a bound of pi is evaluated on a node whose
+// used targets are exactly its mapping's images, yet U2 holds fewer targets
+// than pi has unmapped events: padding rules that out, and patternBound
+// leaves Algorithm 2's size cut out because of it.
+func assertBoundFits(pi *pinfo, m Mapping, used []bool) {
+	nUsed := 0
+	for _, u := range used {
+		if u {
+			nUsed++
+		}
+	}
+	mapped := 0
+	for _, v2 := range m {
+		if v2 != event.None {
+			if int(v2) >= len(used) || !used[v2] {
+				return // not a search node: an image is not marked used
+			}
+			mapped++
+		}
+	}
+	if mapped != nUsed {
+		return // not a search node: a used target is no image
+	}
+	need := 0
+	for _, v := range pi.events {
+		if m[v] == event.None {
+			need++
+		}
+	}
+	if nU2 := len(used) - nUsed; need > nU2 {
+		panic(fmt.Sprintf("matchdebug: pattern %v has %d unmapped events but U2 holds %d targets on a node whose used targets are its images (mapping %v)",
+			pi.events, need, nU2, m))
+	}
+}
+
 // assertChildBound panics when h, a child's bound derived from its parent's
 // cached bounds, differs in any bit from the full hBound of the child
 // (mapping m, used targets used).

@@ -71,6 +71,32 @@ func TestAssertChildBound(t *testing.T) {
 	})
 }
 
+func TestAssertBoundFits(t *testing.T) {
+	l := event.FromStrings("A B C", "A C B", "B C")
+	pr, err := BuildProblem(l, l, nil, ModeVertexEdge)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var pi *pinfo // an edge pattern over B and C
+	for i := range pr.patterns {
+		if ev := pr.patterns[i].events; len(ev) == 2 && ev[0] != 0 && ev[1] != 0 {
+			pi = &pr.patterns[i]
+			break
+		}
+	}
+	if pi == nil {
+		t.Fatal("no edge pattern over B and C")
+	}
+	m, used := NewMapping(3), make([]bool, 3)
+	m[0], used[0] = 0, true
+	assertBoundFits(pi, m, used) // U2 = {1, 2} holds B's and C's images
+	used[1] = true
+	assertBoundFits(pi, m, used) // target 1 is no image: not a search node
+	mustPanic(t, "unmapped events", func() {
+		assertBoundFits(pi, m, []bool{true, false}) // U2 = {1} cannot hold both
+	})
+}
+
 func TestAssertFoldedG2(t *testing.T) {
 	l := event.FromStrings("A B C", "A C B")
 	assertFoldedG2(depgraph.Build(l), l)

@@ -48,34 +48,6 @@ func (m Mapping) Complete() bool {
 	return true
 }
 
-// Pairs returns the mapped (v1, v2) pairs in v1 order.
-func (m Mapping) Pairs() [][2]event.ID {
-	var out [][2]event.ID
-	for v1, v2 := range m {
-		if v2 != event.None {
-			out = append(out, [2]event.ID{event.ID(v1), v2})
-		}
-	}
-	return out
-}
-
-// String renders the mapping using the two alphabets, e.g. "{A->3, B->4}".
-func (m Mapping) String(a1, a2 *event.Alphabet) string {
-	s := "{"
-	first := true
-	for v1, v2 := range m {
-		if v2 == event.None {
-			continue
-		}
-		if !first {
-			s += ", "
-		}
-		first = false
-		s += a1.Name(event.ID(v1)) + "->" + a2.Name(v2)
-	}
-	return s + "}"
-}
-
 // Sim is the frequency similarity primitive used throughout the paper:
 // 1 − |a−b| / (a+b), defined as 0 when both frequencies are 0 (no evidence,
 // no contribution). It lies in [0, 1].
@@ -314,15 +286,6 @@ func (pr *Problem) stripArtificial(m Mapping) Mapping {
 // NumPatterns reports the size of the problem's pattern set P.
 func (pr *Problem) NumPatterns() int { return len(pr.patterns) }
 
-// PatternStrings renders the pattern set for diagnostics.
-func (pr *Problem) PatternStrings() []string {
-	out := make([]string, len(pr.patterns))
-	for i, pi := range pr.patterns {
-		out[i] = pi.p.String(pr.L1.Alphabet)
-	}
-	return out
-}
-
 // expansionOrder returns V1 events ordered by the number of patterns they
 // participate in, descending (§3.1: "select a vertex which is included by
 // most of the patterns"), tie-broken by id for determinism.
@@ -416,49 +379,4 @@ func fullyMapped(pi *pinfo, m Mapping) bool {
 		}
 	}
 	return true
-}
-
-// MappedPatternCount reports how many patterns are fully covered by m; used
-// by tests and diagnostics.
-func (pr *Problem) MappedPatternCount(m Mapping) int {
-	n := 0
-	for i := range pr.patterns {
-		if fullyMapped(&pr.patterns[i], m) {
-			n++
-		}
-	}
-	return n
-}
-
-// VertexDistance computes the vertex-form normal distance of Definition 2
-// directly from two dependency graphs, independent of a Problem. Exposed for
-// the baselines.
-func VertexDistance(g1, g2 *depgraph.Graph, m Mapping) float64 {
-	total := 0.0
-	for v1 := 0; v1 < g1.NumVertices(); v1++ {
-		v2 := m[v1]
-		if v2 == event.None {
-			continue
-		}
-		total += Sim(g1.VertexFreq(event.ID(v1)), g2.VertexFreq(v2))
-	}
-	return total
-}
-
-// VertexEdgeDistance computes the vertex+edge-form normal distance of
-// Definition 2: vertex terms plus a term for every pair with nonzero
-// frequency on either side.
-func VertexEdgeDistance(g1, g2 *depgraph.Graph, m Mapping) float64 {
-	total := VertexDistance(g1, g2, m)
-	// Edges of G1 whose endpoints are mapped.
-	for _, e := range g1.Edges() {
-		a, b := m[e.From], m[e.To]
-		if a == event.None || b == event.None {
-			continue
-		}
-		total += Sim(g1.EdgeFreq(e.From, e.To), g2.EdgeFreq(a, b))
-	}
-	// Edges of G2 between mapped targets with no G1 counterpart contribute
-	// Sim(0, f2) = 0, so they need no explicit terms.
-	return total
 }

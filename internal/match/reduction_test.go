@@ -1,12 +1,99 @@
 package match
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
 
+	"eventmatch/internal/event"
 	"eventmatch/internal/isomorph"
+	"eventmatch/internal/pattern"
 )
+
+// ReduceSubgraphIsomorphism builds the Theorem 1 reduction: given directed
+// graphs G1 and G2, it constructs two event logs and a set of edge patterns
+// such that a mapping with pattern normal distance ≥ |E1| exists iff G1 is
+// (monomorphically) embeddable in G2. Each edge (v,u) becomes a two-event
+// trace <v u>; single-event filler traces equalize the log sizes so the
+// normalized frequencies line up.
+//
+// The construction is the paper's NP-hardness proof made executable; it is
+// exercised in tests against the isomorph package, and it documents why the
+// optimal matching problem cannot have a polynomial exact algorithm.
+func ReduceSubgraphIsomorphism(g1, g2 *isomorph.Graph) (l1, l2 *event.Log, patterns []*pattern.Pattern, err error) {
+	if g1.N == 0 || g2.N == 0 {
+		return nil, nil, nil, fmt.Errorf("match: reduction needs non-empty graphs")
+	}
+	l1 = event.NewLog()
+	for v := 0; v < g1.N; v++ {
+		l1.Alphabet.Intern(fmt.Sprintf("u%d", v))
+	}
+	l2 = event.NewLog()
+	for v := 0; v < g2.N; v++ {
+		l2.Alphabet.Intern(fmt.Sprintf("w%d", v))
+	}
+	for v := 0; v < g1.N; v++ {
+		for u := 0; u < g1.N; u++ {
+			if !g1.HasEdge(v, u) {
+				continue
+			}
+			l1.Append(event.Trace{event.ID(v), event.ID(u)})
+			p, perr := pattern.Seq(pattern.Single(event.ID(v)), pattern.Single(event.ID(u)))
+			if perr != nil {
+				return nil, nil, nil, fmt.Errorf("match: reduction: %w", perr)
+			}
+			patterns = append(patterns, p)
+		}
+	}
+	for v := 0; v < g2.N; v++ {
+		for u := 0; u < g2.N; u++ {
+			if g2.HasEdge(v, u) {
+				l2.Append(event.Trace{event.ID(v), event.ID(u)})
+			}
+		}
+	}
+	// Filler single-event traces equalize |L1| and |L2|.
+	for l1.NumTraces() < l2.NumTraces() {
+		l1.Append(event.Trace{0})
+	}
+	for l2.NumTraces() < l1.NumTraces() {
+		l2.Append(event.Trace{0})
+	}
+	if l1.NumTraces() == 0 {
+		// Edgeless G1: the reduction degenerates (no patterns); keep the
+		// logs non-empty so frequencies are defined.
+		l1.Append(event.Trace{0})
+		l2.Append(event.Trace{0})
+	}
+	return l1, l2, patterns, nil
+}
+
+// DecideSubgraphIsomorphism answers "does G1 embed in G2?" through the event
+// matcher, per Theorem 1: run the reduction, find the optimal mapping under
+// the edge-pattern normal distance, and compare the score against |E1|.
+// Exponential in |V1| — usable for small instances and for demonstrating
+// the equivalence, not as a practical isomorphism solver.
+func DecideSubgraphIsomorphism(g1, g2 *isomorph.Graph, opts Options) (bool, error) {
+	l1, l2, patterns, err := ReduceSubgraphIsomorphism(g1, g2)
+	if err != nil {
+		return false, err
+	}
+	if len(patterns) == 0 {
+		// No edges to embed: any injective vertex mapping works.
+		return g1.N <= g2.N, nil
+	}
+	pr, err := BuildProblem(l1, l2, patterns, ModeUserPatterns)
+	if err != nil {
+		return false, err
+	}
+	_, st, err := pr.AStar(opts)
+	if err != nil {
+		return false, err
+	}
+	const eps = 1e-9
+	return st.Score >= float64(len(patterns))-eps, nil
+}
 
 func pathGraph(n int) *isomorph.Graph {
 	g := isomorph.NewGraph(n)

@@ -27,24 +27,6 @@ func FromMapping(m Mapping) SetMapping {
 	return out
 }
 
-// Images returns all mapped V2 events.
-func (sm SetMapping) Images() []event.ID {
-	var out []event.ID
-	for _, set := range sm {
-		out = append(out, set...)
-	}
-	return out
-}
-
-// Clone deep-copies the set mapping.
-func (sm SetMapping) Clone() SetMapping {
-	out := make(SetMapping, len(sm))
-	for i, set := range sm {
-		out[i] = append([]event.ID(nil), set...)
-	}
-	return out
-}
-
 // translateL2 rewrites L2 into L1's vocabulary under the set mapping: every
 // V2 event in sm[v1] becomes v1's name; unmapped V2 events keep their own
 // names (prefixed when they would collide with an L1 name). The returned
@@ -111,21 +93,15 @@ func (pr *Problem) userPatterns() []*pattern.Pattern {
 	return out
 }
 
-// ExtendOneToN grows an injective mapping into a 1-to-n mapping: every V2
-// event left unmapped is greedily joined to the V1 event whose merged-event
-// interpretation raises the pattern normal distance the most, until no join
-// improves it. The Stats count each evaluated join as a generated mapping.
-// See ExtendOneToNContext.
-func (pr *Problem) ExtendOneToN(m Mapping, opts Options) (SetMapping, Stats, error) {
-	return pr.ExtendOneToNContext(context.Background(), m, opts)
-}
-
-// ExtendOneToNContext is ExtendOneToN under a caller context. The extension
-// is naturally anytime — the set mapping is valid after every committed
-// join — so on cancellation or budget exhaustion (polled per evaluated
-// join: each join evaluation rebuilds a problem and is far coarser than
-// checkEvery) the joins committed so far are returned with Stats.Truncated
-// set.
+// ExtendOneToNContext grows an injective mapping into a 1-to-n mapping: every
+// V2 event left unmapped is greedily joined to the V1 event whose
+// merged-event interpretation raises the pattern normal distance the most,
+// until no join improves it. The Stats count each evaluated join as a
+// generated mapping. The extension is naturally anytime — the set mapping
+// is valid after every committed join — so on cancellation or budget
+// exhaustion (polled per evaluated join: each join evaluation rebuilds a
+// problem and is far coarser than checkEvery) the joins committed so far
+// are returned with Stats.Truncated set.
 func (pr *Problem) ExtendOneToNContext(ctx context.Context, m Mapping, opts Options) (SetMapping, Stats, error) {
 	start := time.Now()
 	var st Stats

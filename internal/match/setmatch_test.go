@@ -1,6 +1,7 @@
 package match
 
 import (
+	"context"
 	"testing"
 
 	"eventmatch/internal/event"
@@ -50,7 +51,7 @@ func TestExtendOneToNGroupsSplitEvent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sm, st, err := pr.ExtendOneToN(m, Options{})
+	sm, st, err := pr.ExtendOneToNContext(context.Background(), m, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,7 +154,7 @@ func TestExtendOneToNNoUnassigned(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sm, _, err := pr.ExtendOneToN(m, Options{})
+	sm, _, err := pr.ExtendOneToNContext(context.Background(), m, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -190,7 +191,7 @@ func TestExtendOneToNBadMapping(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := pr.ExtendOneToN(NewMapping(2), Options{}); err == nil {
+	if _, _, err := pr.ExtendOneToNContext(context.Background(), NewMapping(2), Options{}); err == nil {
 		t.Error("short mapping must fail")
 	}
 }

@@ -60,16 +60,3 @@ func Evaluate(found, truth match.Mapping) Quality {
 	}
 	return q
 }
-
-// MeanF returns the average F-measure of a batch of quality results; used by
-// experiments that aggregate several runs.
-func MeanF(qs []Quality) float64 {
-	if len(qs) == 0 {
-		return 0
-	}
-	total := 0.0
-	for _, q := range qs {
-		total += q.FMeasure
-	}
-	return total / float64(len(qs))
-}

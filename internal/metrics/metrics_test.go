@@ -142,13 +142,3 @@ func TestEvaluateUnmappedBeyondPrefix(t *testing.T) {
 		t.Errorf("q = %+v", q)
 	}
 }
-
-func TestMeanF(t *testing.T) {
-	if MeanF(nil) != 0 {
-		t.Error("empty MeanF must be 0")
-	}
-	qs := []Quality{{FMeasure: 1}, {FMeasure: 0.5}}
-	if got := MeanF(qs); got != 0.75 {
-		t.Errorf("MeanF = %v, want 0.75", got)
-	}
-}

@@ -180,11 +180,13 @@ func TestFrequencyCacheInvalidateTargeted(t *testing.T) {
 	c, d := l.Alphabet.Lookup("C"), l.Alphabet.Lookup("D")
 	ix := NewTraceIndex(l)
 	cache := NewFrequencyCache(ix)
+	reg := telemetry.NewRegistry()
+	cache.SetTelemetry(reg)
 	pAB := MustSeq(Single(a), Single(b))
 	pCD := MustSeq(Single(c), Single(d))
 	cache.Frequency(pAB)
 	cache.Frequency(pCD)
-	if h, m := cache.Stats(); h != 0 || m != 2 {
+	if h, m, _ := CacheCounts(reg); h != 0 || m != 2 {
 		t.Fatalf("warmup hits/misses = %d/%d, want 0/2", h, m)
 	}
 
@@ -197,16 +199,13 @@ func TestFrequencyCacheInvalidateTargeted(t *testing.T) {
 	if got, want := cache.Frequency(pAB), pAB.Frequency(l); got != want {
 		t.Fatalf("f(AB) = %v, want %v", got, want)
 	}
-	if h, m := cache.Stats(); h != 1 || m != 2 {
+	if h, m, _ := CacheCounts(reg); h != 1 || m != 2 {
 		t.Fatalf("after disjoint append hits/misses = %d/%d, want 1/2 (AB entry must survive)", h, m)
 	}
 	if got, want := cache.Frequency(pCD), pCD.Frequency(l); got != want {
 		t.Fatalf("f(CD) = %v, want %v", got, want)
 	}
-	if h, m := cache.Stats(); h != 1 || m != 3 {
-		t.Fatalf("after re-evaluating CD hits/misses = %d/%d, want 1/3 (CD entry must have dropped)", h, m)
-	}
-	if cache.Invalidations() != 1 {
-		t.Fatalf("Invalidations = %d, want 1", cache.Invalidations())
+	if h, m, inv := CacheCounts(reg); h != 1 || m != 3 || inv != 1 {
+		t.Fatalf("after re-evaluating CD hits/misses/invalidations = %d/%d/%d, want 1/3/1 (CD entry must have dropped)", h, m, inv)
 	}
 }

@@ -9,6 +9,7 @@ import (
 	"eventmatch/internal/event"
 	"eventmatch/internal/gen"
 	"eventmatch/internal/pattern"
+	"eventmatch/internal/telemetry"
 )
 
 // testPatterns builds a mixed pattern set over l's alphabet: every vertex,
@@ -135,11 +136,13 @@ func TestEngineCancellation(t *testing.T) {
 }
 
 // TestFrequencyCacheConcurrent is the -race regression test for the
-// formerly unsynchronized cache: hammer Frequency, Stats and SetWorkers
-// from many goroutines and check the counters balance.
+// formerly unsynchronized cache: hammer Frequency, the metric snapshot and
+// SetWorkers from many goroutines and check the counters balance.
 func TestFrequencyCacheConcurrent(t *testing.T) {
 	g := gen.RealLike(5, 200)
 	c := pattern.NewFrequencyCache(pattern.NewTraceIndex(g.L1))
+	reg := telemetry.NewRegistry()
+	c.SetTelemetry(reg)
 	ps := testPatterns(t, g.L1, g.Patterns)
 	want := make([]float64, len(ps))
 	for i, p := range ps {
@@ -160,7 +163,7 @@ func TestFrequencyCacheConcurrent(t *testing.T) {
 					return
 				}
 				if i%50 == 0 {
-					c.Stats()
+					pattern.CacheCounts(reg)
 					c.SetWorkers(1 + i%4)
 				}
 			}
@@ -168,11 +171,11 @@ func TestFrequencyCacheConcurrent(t *testing.T) {
 	}
 	wg.Wait()
 
-	hits, misses := c.Stats()
+	hits, misses, _ := pattern.CacheCounts(reg)
 	if hits+misses != goroutines*iters {
 		t.Errorf("hits(%d) + misses(%d) = %d, want %d", hits, misses, hits+misses, goroutines*iters)
 	}
-	if misses < len(ps) {
+	if misses < int64(len(ps)) {
 		t.Errorf("misses = %d, want at least one per distinct pattern (%d)", misses, len(ps))
 	}
 }
@@ -183,6 +186,8 @@ func TestFrequencyCacheConcurrent(t *testing.T) {
 func TestFrequencyCacheContext(t *testing.T) {
 	g := gen.RealLike(6, 300)
 	c := pattern.NewFrequencyCache(pattern.NewTraceIndex(g.L1))
+	reg := telemetry.NewRegistry()
+	c.SetTelemetry(reg)
 	p := pattern.MustSeq(pattern.Single(0), pattern.Single(1))
 	want := p.Frequency(g.L1)
 
@@ -194,14 +199,14 @@ func TestFrequencyCacheContext(t *testing.T) {
 	if got := c.Frequency(p); got != want {
 		t.Fatalf("post-cancel lookup = %v, want %v", got, want)
 	}
-	hits, misses := c.Stats()
+	hits, misses, _ := pattern.CacheCounts(reg)
 	if hits != 0 || misses != 2 {
-		t.Fatalf("Stats after cancel+retry = (%d, %d), want (0, 2): partial scans must not be cached", hits, misses)
+		t.Fatalf("counts after cancel+retry = (%d, %d), want (0, 2): partial scans must not be cached", hits, misses)
 	}
 	if got := c.Frequency(p); got != want {
 		t.Fatalf("cached lookup = %v, want %v", got, want)
 	}
-	if hits, _ := c.Stats(); hits != 1 {
+	if hits, _, _ := pattern.CacheCounts(reg); hits != 1 {
 		t.Fatalf("hits after third lookup = %d, want 1", hits)
 	}
 }

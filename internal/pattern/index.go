@@ -3,6 +3,7 @@ package pattern
 import (
 	"context"
 	"math/bits"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -35,9 +36,6 @@ func NewPatternIndex(patterns []*Pattern) *PatternIndex {
 	}
 	return ix
 }
-
-// Patterns returns the indexed pattern set.
-func (ix *PatternIndex) Patterns() []*Pattern { return ix.patterns }
 
 // Containing returns the indices of patterns containing event v. Events
 // outside the indexed range (and event.None) yield nil.
@@ -376,15 +374,12 @@ func (c *FrequencyCache) Invalidate(events []event.ID) int {
 	if len(events) == 0 {
 		return 0
 	}
-	in := make(map[event.ID]bool, len(events))
-	for _, v := range events {
-		in[v] = true
-	}
 	dropped := 0
+	var victims []string // reused across shards
 	for i := range c.shards {
 		sh := &c.shards[i]
 		sh.mu.Lock()
-		var victims []string
+		victims = victims[:0]
 		for _, v := range events {
 			for _, key := range sh.byEvent[v] {
 				e, ok := sh.m[key]
@@ -393,7 +388,9 @@ func (c *FrequencyCache) Invalidate(events []event.ID) int {
 				}
 				contained := true
 				for _, pv := range e.events {
-					if !in[pv] {
+					// events holds a trace's distinct ids, a handful: a
+					// scan beats building a set per call.
+					if !slices.Contains(events, pv) {
 						contained = false
 						break
 					}
@@ -417,26 +414,6 @@ func (c *FrequencyCache) Invalidate(events []event.ID) int {
 		sh.mu.Unlock()
 	}
 	return dropped
-}
-
-// Invalidations reports how many memoized entries targeted invalidation has
-// dropped, summed across shards.
-func (c *FrequencyCache) Invalidations() int {
-	var n int64
-	for i := range c.shards {
-		n += c.shards[i].inval.Load()
-	}
-	return int(n)
-}
-
-// Stats reports cache hits and misses, summed across shards.
-func (c *FrequencyCache) Stats() (hits, misses int) {
-	var h, m int64
-	for i := range c.shards {
-		h += c.shards[i].hits.Load()
-		m += c.shards[i].miss.Load()
-	}
-	return int(h), int(m)
 }
 
 // appendSignature renders a canonical byte string for the pattern structure

@@ -8,6 +8,7 @@ import (
 	"testing/quick"
 
 	"eventmatch/internal/event"
+	"eventmatch/internal/telemetry"
 )
 
 func TestPatternIndex(t *testing.T) {
@@ -27,8 +28,8 @@ func TestPatternIndex(t *testing.T) {
 	if ix.Degree(a.Lookup("B")) != 3 || ix.Degree(a.Lookup("D")) != 1 {
 		t.Error("Degree wrong")
 	}
-	if len(ix.Patterns()) != 3 {
-		t.Error("Patterns() wrong")
+	if len(ix.patterns) != 3 {
+		t.Error("indexed pattern count wrong")
 	}
 }
 
@@ -103,6 +104,8 @@ func TestFrequencyCache(t *testing.T) {
 	l := event.FromStrings("A B", "B A", "A B")
 	ix := NewTraceIndex(l)
 	c := NewFrequencyCache(ix)
+	reg := telemetry.NewRegistry()
+	c.SetTelemetry(reg)
 	p := must(ParseBind("SEQ(A,B)", l.Alphabet))
 	f1 := c.Frequency(p)
 	f2 := c.Frequency(p)
@@ -112,7 +115,7 @@ func TestFrequencyCache(t *testing.T) {
 	if math.Abs(f1-2.0/3.0) > 1e-12 {
 		t.Errorf("f = %v, want 2/3", f1)
 	}
-	hits, misses := c.Stats()
+	hits, misses, _ := CacheCounts(reg)
 	if hits != 1 || misses != 1 {
 		t.Errorf("hits=%d misses=%d, want 1/1", hits, misses)
 	}

@@ -32,15 +32,6 @@ func Parse(s string) (*Expr, error) {
 	return e, nil
 }
 
-// MustParse is Parse for statically-known-good inputs; it panics on error.
-func MustParse(s string) *Expr {
-	e, err := Parse(s)
-	if err != nil {
-		panic(err)
-	}
-	return e
-}
-
 type parser struct {
 	input string
 	pos   int
@@ -153,19 +144,6 @@ func ParseBind(s string, a *event.Alphabet) (*Pattern, error) {
 		return nil, err
 	}
 	return e.Bind(a)
-}
-
-// BindAll binds a list of expressions, failing on the first error.
-func BindAll(exprs []*Expr, a *event.Alphabet) ([]*Pattern, error) {
-	out := make([]*Pattern, len(exprs))
-	for i, e := range exprs {
-		p, err := e.Bind(a)
-		if err != nil {
-			return nil, fmt.Errorf("pattern %d (%s): %w", i, e, err)
-		}
-		out[i] = p
-	}
-	return out, nil
 }
 
 // ParseAll parses newline-separated pattern definitions, skipping blank lines

@@ -115,12 +115,12 @@ SEQ(D,E)
 		t.Fatalf("got %d exprs", len(exprs))
 	}
 	a := event.NewAlphabet("A", "B", "C", "D", "E")
-	ps, err := BindAll(exprs, a)
+	p, err := exprs[1].Bind(a)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ps[1].Size() != 2 {
-		t.Errorf("second pattern size = %d", ps[1].Size())
+	if p.Size() != 2 {
+		t.Errorf("second pattern size = %d", p.Size())
 	}
 }
 
@@ -130,16 +130,11 @@ func TestParseAllError(t *testing.T) {
 	}
 }
 
-func TestBindAllError(t *testing.T) {
-	exprs := []*Expr{MustParse("SEQ(A,Z)")}
-	a := event.NewAlphabet("A")
-	if _, err := BindAll(exprs, a); err == nil {
-		t.Error("BindAll must surface bind errors")
-	}
-}
-
 func TestExprStringNested(t *testing.T) {
-	e := MustParse("AND(SEQ(A,B),C)")
+	e, err := Parse("AND(SEQ(A,B),C)")
+	if err != nil {
+		t.Fatal(err)
+	}
 	if got := e.String(); got != "AND(SEQ(A,B),C)" {
 		t.Errorf("String = %q", got)
 	}

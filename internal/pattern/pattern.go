@@ -109,19 +109,12 @@ func compose(op Op, subs []*Pattern) (*Pattern, error) {
 	return p, nil
 }
 
-// Op returns the operator at the root of the pattern.
-func (p *Pattern) Op() Op { return p.op }
-
 // Size returns |p|, the number of events in the pattern.
 func (p *Pattern) Size() int { return p.size }
 
 // Events returns the pattern's events in left-to-right appearance order. The
 // returned slice must not be modified.
 func (p *Pattern) Events() []event.ID { return p.order }
-
-// Contains reports whether event v occurs in the pattern. The test is a
-// bitset probe — constant time, no allocation, no hashing.
-func (p *Pattern) Contains(v event.ID) bool { return p.events.Has(v) }
 
 // Orders returns omega(p) = |I(p)|, the number of distinct event orderings
 // the pattern accepts. The count saturates at math.MaxInt64 for pathological
@@ -288,25 +281,6 @@ func (p *Pattern) collectEdges(edges *[]depgraph.Edge) {
 	}
 }
 
-// ExistsIn implements the pattern-existence check of Proposition 3: if the
-// pattern's graph form is not a subgraph of g, its frequency in g's log is
-// certainly 0. (The converse does not hold.) All pattern events must be
-// valid vertices of g; out-of-range events simply fail the check.
-func (p *Pattern) ExistsIn(g *depgraph.Graph) bool {
-	for _, v := range p.order {
-		if int(v) >= g.NumVertices() || g.VertexFreq(v) == 0 {
-			return false
-		}
-	}
-	_, edges := p.Graph()
-	for _, e := range edges {
-		if !g.HasEdge(e.From, e.To) {
-			return false
-		}
-	}
-	return true
-}
-
 // MatchesWindow reports whether the window w (which must have length
 // p.Size()) is one of the orderings in I(p). Because all sub-pattern event
 // sets are disjoint, the block owning each position is determined by its
@@ -406,52 +380,4 @@ func (p *Pattern) Frequency(l *event.Log) float64 {
 		}
 	}
 	return float64(n) / float64(l.NumTraces())
-}
-
-// EnumerateOrders expands I(p) into the explicit list of allowed event
-// orderings. Exponential in AND fan-out — intended for tests and tiny
-// patterns only; production matching uses MatchesWindow.
-func (p *Pattern) EnumerateOrders() []event.Trace {
-	switch p.op {
-	case OpEvent:
-		return []event.Trace{{p.event}}
-	case OpSeq:
-		acc := []event.Trace{{}}
-		for _, s := range p.subs {
-			subOrders := s.EnumerateOrders()
-			var next []event.Trace
-			for _, prefix := range acc {
-				for _, so := range subOrders {
-					t := append(prefix.Clone(), so...)
-					next = append(next, t)
-				}
-			}
-			acc = next
-		}
-		return acc
-	default: // OpAnd
-		var out []event.Trace
-		permuteSubs(p.subs, nil, &out)
-		return out
-	}
-}
-
-func permuteSubs(subs []*Pattern, chosen []*Pattern, out *[]event.Trace) {
-	if len(chosen) == len(subs) {
-		seq, err := compose(OpSeq, append([]*Pattern(nil), chosen...))
-		if err != nil {
-			return
-		}
-		*out = append(*out, seq.EnumerateOrders()...)
-		return
-	}
-	used := make(map[*Pattern]bool, len(chosen))
-	for _, c := range chosen {
-		used[c] = true
-	}
-	for _, s := range subs {
-		if !used[s] {
-			permuteSubs(subs, append(chosen, s), out)
-		}
-	}
 }

@@ -23,11 +23,11 @@ func abcd() (*event.Alphabet, map[string]*Pattern) {
 
 func TestSingle(t *testing.T) {
 	p := Single(3)
-	if p.Op() != OpEvent || p.Size() != 1 {
-		t.Fatalf("Single: op=%v size=%d", p.Op(), p.Size())
+	if p.op != OpEvent || p.Size() != 1 {
+		t.Fatalf("Single: op=%v size=%d", p.op, p.Size())
 	}
-	if !p.Contains(3) || p.Contains(2) {
-		t.Error("Contains wrong")
+	if !p.events.Has(3) || p.events.Has(2) {
+		t.Error("event set wrong")
 	}
 	if p.Orders() != 1 {
 		t.Errorf("Orders = %d, want 1", p.Orders())
@@ -241,70 +241,56 @@ func TestMapUnmapped(t *testing.T) {
 	}
 }
 
-func TestExistsIn(t *testing.T) {
-	l := event.FromStrings("A B C D", "A C B D")
-	g := depgraph.Build(l)
-	p, err := ParseBind("SEQ(A,AND(B,C),D)", l.Alphabet)
-	if err != nil {
-		t.Fatal(err)
+// enumerateOrders expands I(p) into its explicit orderings, the reference the
+// linear window matcher is checked against. Exponential in AND fan-out.
+func enumerateOrders(p *Pattern) []event.Trace {
+	switch p.op {
+	case OpEvent:
+		return []event.Trace{{p.event}}
+	case OpSeq:
+		return seqOrders(p.subs)
 	}
-	if !p.ExistsIn(g) {
-		t.Error("pattern graph is a subgraph of G; ExistsIn must hold")
-	}
-	// SEQ(D,A): edge D->A absent.
-	p2, err := ParseBind("SEQ(D,A)", l.Alphabet)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p2.ExistsIn(g) {
-		t.Error("SEQ(D,A) must not exist in G")
-	}
-}
-
-func TestExistsInIsNecessaryNotSufficient(t *testing.T) {
-	// All edges of SEQ(A,B,C) exist but no single trace contains ABC
-	// contiguously — ExistsIn true, frequency 0 (Prop. 3 is one-directional).
-	l := event.FromStrings("A B X", "X B C")
-	p, err := ParseBind("SEQ(A,B,C)", l.Alphabet)
-	if err != nil {
-		t.Fatal(err)
-	}
-	g := depgraph.Build(l)
-	if !p.ExistsIn(g) {
-		t.Fatal("edges AB and BC both exist; ExistsIn must hold")
-	}
-	if f := p.Frequency(l); f != 0 {
-		t.Errorf("frequency = %v, want 0", f)
-	}
-}
-
-func TestEnumerateOrders(t *testing.T) {
-	_, s := abcd()
-	p := MustSeq(s["A"], MustAnd(s["B"], s["C"]), s["D"])
-	orders := p.EnumerateOrders()
-	if len(orders) != 2 {
-		t.Fatalf("orders = %v, want 2", orders)
-	}
-	set := map[string]bool{}
-	for _, o := range orders {
-		key := ""
-		for _, e := range o {
-			key += string(rune('A' + int(e)))
+	// An AND accepts its sub-patterns in every order, each as a sequence.
+	subs := append([]*Pattern(nil), p.subs...)
+	var out []event.Trace
+	var permute func(k int)
+	permute = func(k int) {
+		if k == len(subs) {
+			out = append(out, seqOrders(subs)...)
+			return
 		}
-		set[key] = true
+		for i := k; i < len(subs); i++ {
+			subs[k], subs[i] = subs[i], subs[k]
+			permute(k + 1)
+			subs[k], subs[i] = subs[i], subs[k]
+		}
 	}
-	if !set["ABCD"] || !set["ACBD"] {
-		t.Errorf("orders = %v", set)
-	}
+	permute(0)
+	return out
 }
 
-// Property: MatchesWindow(w) == (w ∈ EnumerateOrders()) for random small
+// seqOrders returns the orderings of subs placed one after another.
+func seqOrders(subs []*Pattern) []event.Trace {
+	acc := []event.Trace{{}}
+	for _, s := range subs {
+		var next []event.Trace
+		for _, prefix := range acc {
+			for _, so := range enumerateOrders(s) {
+				next = append(next, append(append(event.Trace(nil), prefix...), so...))
+			}
+		}
+		acc = next
+	}
+	return acc
+}
+
+// Property: MatchesWindow(w) == (w ∈ enumerateOrders(p)) for random small
 // patterns and random windows.
 func TestWindowMatcherAgreesWithEnumerationProperty(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		p := randomPattern(rng, []event.ID{0, 1, 2, 3, 4}, 2)
-		orders := p.EnumerateOrders()
+		orders := enumerateOrders(p)
 		if int64(len(orders)) != p.Orders() {
 			return false
 		}
@@ -340,7 +326,7 @@ func TestEmbeddedOrderMatchesProperty(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		p := randomPattern(rng, []event.ID{0, 1, 2, 3}, 2)
-		orders := p.EnumerateOrders()
+		orders := enumerateOrders(p)
 		o := orders[rng.Intn(len(orders))]
 		noise := func(n int) event.Trace {
 			t := make(event.Trace, n)

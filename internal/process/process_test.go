@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -118,7 +119,7 @@ func TestChoiceExclusive(t *testing.T) {
 	a := l.Alphabet
 	produce, restock := a.Lookup("Produce"), a.Lookup("Restock")
 	for i, tr := range l.Traces {
-		hasP, hasR := tr.Contains(produce), tr.Contains(restock)
+		hasP, hasR := slices.Contains(tr, produce), slices.Contains(tr, restock)
 		if hasP == hasR {
 			t.Fatalf("trace %d: choice not exclusive (produce=%v restock=%v)", i, hasP, hasR)
 		}

@@ -272,9 +272,6 @@ func New(cfg Config) *Server {
 // tests).
 func (s *Server) Telemetry() *telemetry.Registry { return s.reg }
 
-// Draining reports whether Shutdown has begun.
-func (s *Server) Draining() bool { return s.draining.Load() }
-
 // submit admits a validated spec as a new job. reqCtx bounds the submission
 // persist (the caller's HTTP request context); job execution itself runs
 // under the server's base context.

@@ -250,19 +250,6 @@ func (s *RecoveredSession) Terminal() bool {
 	return s.State == "closed" || s.State == "aborted"
 }
 
-// Terminal reports whether the replayed job needs no further work: it has a
-// durable result, or it ended in a terminal non-result state.
-func (j *RecoveredJob) Terminal() bool {
-	if j.ResultHash != "" {
-		return true
-	}
-	switch j.State {
-	case "failed", "canceled", "done":
-		return true
-	}
-	return false
-}
-
 // replay folds a journal's bytes into a Recovery. It tolerates a torn tail:
 // the last record may be cut mid-line (no trailing newline) or corrupted
 // (CRC/JSON failure) — replay stops there and keeps everything before it.

@@ -162,9 +162,6 @@ func (s *Store) Close() error {
 	return err
 }
 
-// Dir returns the store's root directory.
-func (s *Store) Dir() string { return s.dir }
-
 // append encodes r, appends it to the journal and fsyncs, all under the
 // store mutex. This is the WAL primitive every mutation method funnels into.
 func (s *Store) append(ctx context.Context, r *Record) error {
@@ -312,17 +309,4 @@ func (s *Store) Artifact(ctx context.Context, key string) ([]byte, error) {
 		return nil, err
 	}
 	return s.fs.ReadFile(path)
-}
-
-// HasArtifact reports whether key is already stored.
-func (s *Store) HasArtifact(ctx context.Context, key string) bool {
-	if ctx.Err() != nil {
-		return false
-	}
-	path, err := s.artifactPath(key)
-	if err != nil {
-		return false
-	}
-	_, err = s.fs.Stat(path)
-	return err == nil
 }

@@ -91,14 +91,14 @@ func TestRoundTrip(t *testing.T) {
 		t.Fatalf("recovered %d jobs, want 2", len(rec2.Jobs))
 	}
 	j1 := rec2.Jobs[0]
-	if j1.ID != "j1" || j1.State != "done" || j1.ResultHash != hash || !j1.Terminal() {
+	if j1.ID != "j1" || j1.State != "done" || j1.ResultHash != hash {
 		t.Fatalf("j1 recovered as %+v", j1)
 	}
 	if j1.Checkpoint == nil || j1.Checkpoint.Score != 0.5 || j1.Checkpoint.Pairs["A"] != "a" {
 		t.Fatalf("j1 checkpoint %+v", j1.Checkpoint)
 	}
 	j2 := rec2.Jobs[1]
-	if j2.ID != "j2" || j2.State != "queued" || j2.Terminal() {
+	if j2.ID != "j2" || j2.State != "queued" || j2.ResultHash != "" {
 		t.Fatalf("j2 recovered as %+v", j2)
 	}
 	got, err := s2.Artifact(ctx, hash)
@@ -314,14 +314,14 @@ func TestArtifacts(t *testing.T) {
 	ctx := context.Background()
 	s, _ := mustOpen(t, dir)
 	key := strings.Repeat("c", 64)
-	if s.HasArtifact(ctx, key) {
+	if _, err := s.Artifact(ctx, key); err == nil {
 		t.Fatal("artifact present before write")
 	}
 	if err := s.PutArtifact(ctx, key, []byte("payload")); err != nil {
 		t.Fatal(err)
 	}
-	if !s.HasArtifact(ctx, key) {
-		t.Fatal("artifact missing after write")
+	if _, err := s.Artifact(ctx, key); err != nil {
+		t.Fatalf("artifact missing after write: %v", err)
 	}
 	// Idempotent re-put.
 	if err := s.PutArtifact(ctx, key, []byte("payload")); err != nil {

@@ -2,7 +2,6 @@ package tenant
 
 import (
 	"errors"
-	"sort"
 )
 
 // Queue-full errors. The server maps both onto HTTP 429 "queue full"; they
@@ -160,16 +159,4 @@ func (q *FairQueue[T]) TenantLen(name string) int {
 		return len(tq.items)
 	}
 	return 0
-}
-
-// Tenants returns the names of all tenants with queued items, sorted.
-func (q *FairQueue[T]) Tenants() []string {
-	var names []string
-	for n, tq := range q.queues {
-		if len(tq.items) > 0 {
-			names = append(names, n)
-		}
-	}
-	sort.Strings(names)
-	return names
 }

@@ -260,18 +260,6 @@ func NewLimiter(rates Rates) *Limiter {
 	return l
 }
 
-// Rates returns the configured windows (sorted ascending) for display.
-func (l *Limiter) Rates() Rates {
-	if l == nil {
-		return nil
-	}
-	out := make(Rates, len(l.rates))
-	for _, r := range l.rates {
-		out[r.window] = r.limit
-	}
-	return out
-}
-
 // Allow decides one admission for name at instant now. When admitted it
 // records the event against every window and returns ok=true. When denied it
 // records nothing and returns the earliest instant at which the request

@@ -53,8 +53,7 @@ type SessionConfig struct {
 type Update struct {
 	// Revision is the number of target traces the mapping reflects.
 	Revision int
-	// Mapping is the published mapping (do not mutate; Current returns
-	// clones).
+	// Mapping is the published mapping (do not mutate).
 	Mapping match.Mapping
 	// Score is the mapping's pattern normal distance.
 	Score float64
@@ -88,7 +87,6 @@ type Session struct {
 	searchCancel context.CancelFunc // cancels the in-flight re-search
 	cur          Update
 	hasCur       bool
-	failed       error // last re-search error (pathological; session continues)
 
 	done chan struct{} // closed when the writer exits
 }
@@ -155,27 +153,6 @@ func (s *Session) Accepted() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.accepted
-}
-
-// Current returns a clone of the latest published update; ok is false before
-// the first publish.
-func (s *Session) Current() (Update, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if !s.hasCur {
-		return Update{}, false
-	}
-	up := s.cur
-	up.Mapping = up.Mapping.Clone()
-	return up, true
-}
-
-// Err reports the most recent re-search error, if any. A failed re-search
-// does not terminate the session; the next append retries.
-func (s *Session) Err() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.failed
 }
 
 // Done is closed when the writer goroutine has exited (after Close drains or
@@ -289,10 +266,7 @@ func (s *Session) run() {
 			return
 		}
 		if err != nil {
-			s.mu.Lock()
-			s.failed = err
-			s.mu.Unlock()
-			continue
+			continue // a failed re-search leaves the session open; the next append retries
 		}
 		up := Update{Revision: rev, Mapping: m, Score: st.Score, Stats: st}
 		s.publish(up)
@@ -317,7 +291,6 @@ func (s *Session) publish(up Update) {
 	s.mu.Lock()
 	s.cur = up
 	s.hasCur = true
-	s.failed = nil
 	s.mu.Unlock()
 	if s.cfg.OnUpdate != nil {
 		s.cfg.OnUpdate(up)

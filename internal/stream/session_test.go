@@ -28,13 +28,30 @@ func traceNames(l *event.Log) [][]string {
 	return out
 }
 
+// latestUpdate keeps a copy of the newest update a session published; its
+// observe method is an OnUpdate callback.
+type latestUpdate struct {
+	mu sync.Mutex
+	up Update
+}
+
+func (l *latestUpdate) observe(up Update) {
+	up.Mapping = up.Mapping.Clone()
+	l.mu.Lock()
+	l.up = up
+	l.mu.Unlock()
+}
+
 // waitRevision polls until the session has published a mapping covering at
 // least rev traces.
-func waitRevision(t *testing.T, s *Session, rev int) Update {
+func waitRevision(t *testing.T, l *latestUpdate, rev int) Update {
 	t.Helper()
 	deadline := time.Now().Add(10 * time.Second)
 	for time.Now().Before(deadline) {
-		if up, ok := s.Current(); ok && up.Revision >= rev {
+		l.mu.Lock()
+		up := l.up
+		l.mu.Unlock()
+		if up.Revision >= rev {
 			return up
 		}
 		time.Sleep(time.Millisecond)
@@ -62,11 +79,13 @@ func TestSessionConvergesToBatch(t *testing.T) {
 		seed := seed
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
 			rng := rand.New(rand.NewSource(seed))
+			var latest latestUpdate
 			s, err := NewSession(SessionConfig{
 				L1:       g.L1,
 				Patterns: pats,
 				Mode:     match.ModePattern,
 				Options:  match.Options{Bound: match.BoundSharp},
+				OnUpdate: latest.observe,
 			})
 			if err != nil {
 				t.Fatal(err)
@@ -84,7 +103,7 @@ func TestSessionConvergesToBatch(t *testing.T) {
 				}
 				sent += n
 
-				up := waitRevision(t, s, sent)
+				up := waitRevision(t, &latest, sent)
 				if up.Revision != sent {
 					t.Fatalf("revision %d after %d traces", up.Revision, sent)
 				}
@@ -260,6 +279,9 @@ func TestStreamSessionStress(t *testing.T) {
 		L1:   l1,
 		Mode: match.ModeVertexEdge,
 		OnUpdate: func(up Update) {
+			if up.Revision <= 0 || len(up.Mapping) != l1.NumEvents() {
+				t.Errorf("malformed update %+v", up)
+			}
 			upMu.Lock()
 			revisions = append(revisions, up.Revision)
 			upMu.Unlock()
@@ -333,12 +355,6 @@ func TestStreamSessionStress(t *testing.T) {
 				case <-readerStop:
 					return
 				default:
-				}
-				if up, ok := s.Current(); ok {
-					if up.Revision <= 0 || len(up.Mapping) != l1.NumEvents() {
-						t.Errorf("reader saw malformed update %+v", up)
-						return
-					}
 				}
 				_ = s.Accepted()
 				time.Sleep(200 * time.Microsecond)

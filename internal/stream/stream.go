@@ -81,22 +81,6 @@ func (d *Detector) Observe(e event.ID) []Occurrence {
 	return out
 }
 
-// ObserveTrace feeds a whole trace (after a Reset) and returns all
-// occurrences in it.
-func (d *Detector) ObserveTrace(t event.Trace) []Occurrence {
-	var out []Occurrence
-	for _, e := range t {
-		out = append(out, d.Observe(e)...)
-	}
-	return out
-}
-
-// Matched reports whether pattern pi has occurred since the last Reset.
-func (d *Detector) Matched(pi int) bool { return d.matched[pi] }
-
-// Pos returns the number of events observed since the last Reset.
-func (d *Detector) Pos() int { return d.pos }
-
 // Reset clears the window and per-trace match flags — call it at trace
 // boundaries.
 func (d *Detector) Reset() {

@@ -96,25 +96,12 @@ func TestMultiplePatterns(t *testing.T) {
 	if len(all) != 2 {
 		t.Fatalf("occurrences = %v", all)
 	}
-	if !d.Matched(0) || !d.Matched(1) {
-		t.Error("Matched flags wrong")
+	if !d.matched[0] || !d.matched[1] {
+		t.Error("matched flags wrong")
 	}
 	d.Reset()
-	if d.Matched(0) || d.Pos() != 0 {
+	if d.matched[0] || d.pos != 0 || len(d.buf) != 0 {
 		t.Error("Reset incomplete")
-	}
-}
-
-func TestObserveTrace(t *testing.T) {
-	a := event.NewAlphabet("A", "B")
-	d, err := NewDetector([]*pattern.Pattern{mustBind(t, "SEQ(A,B)", a)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	tr := event.Trace{0, 1, 0, 1}
-	occ := d.ObserveTrace(tr)
-	if len(occ) != 2 {
-		t.Errorf("occurrences = %v, want 2", occ)
 	}
 }
 

@@ -77,13 +77,6 @@ func (g *Gauge) Set(n int64) {
 	}
 }
 
-// Add shifts the current level by n.
-func (g *Gauge) Add(n int64) {
-	if g != nil {
-		g.v.Add(n)
-	}
-}
-
 // SetMax raises the gauge to n if n exceeds the current level — a lock-free
 // high-watermark (e.g. peak frontier size).
 func (g *Gauge) SetMax(n int64) {

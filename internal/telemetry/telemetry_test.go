@@ -16,7 +16,6 @@ func TestNilReceiversAreNoOps(t *testing.T) {
 	c.Inc()
 	c.Add(5)
 	g.Set(3)
-	g.Add(1)
 	g.SetMax(10)
 	sp := tm.Start()
 	sp.Stop()

@@ -48,32 +48,3 @@ func writeCluster(b *strings.Builder, label, cluster, prefix string, g *depgraph
 }
 
 func nodeID(prefix string, v int) string { return fmt.Sprintf("%s_%d", prefix, v) }
-
-// MappingTable renders the correspondence as an aligned text table with an
-// optional ground truth column.
-func MappingTable(l1, l2 *event.Log, m, truth match.Mapping) string {
-	var b strings.Builder
-	width := 0
-	for v1 := range m {
-		if n := len(l1.Alphabet.Name(event.ID(v1))); n > width {
-			width = n
-		}
-	}
-	for v1, v2 := range m {
-		name1 := l1.Alphabet.Name(event.ID(v1))
-		name2 := "-"
-		if v2 != event.None {
-			name2 = l2.Alphabet.Name(v2)
-		}
-		fmt.Fprintf(&b, "%-*s -> %s", width, name1, name2)
-		if truth != nil && v1 < len(truth) && truth[v1] != event.None {
-			if truth[v1] == v2 {
-				b.WriteString("  [ok]")
-			} else {
-				fmt.Fprintf(&b, "  [truth: %s]", l2.Alphabet.Name(truth[v1]))
-			}
-		}
-		b.WriteByte('\n')
-	}
-	return b.String()
-}

@@ -44,29 +44,3 @@ func TestMappingDotSkipsUnmapped(t *testing.T) {
 		t.Error("unmapped vertex should have no correspondence edge")
 	}
 }
-
-func TestMappingTable(t *testing.T) {
-	l1, l2, m := testLogs()
-	truth := match.Mapping{0, 0} // truth says B -> x: mismatch for B
-	table := MappingTable(l1, l2, m, truth)
-	if !strings.Contains(table, "A -> x  [ok]") {
-		t.Errorf("table missing ok row:\n%s", table)
-	}
-	if !strings.Contains(table, "B -> y  [truth: x]") {
-		t.Errorf("table missing mismatch row:\n%s", table)
-	}
-	// Without truth, no annotations.
-	plain := MappingTable(l1, l2, m, nil)
-	if strings.Contains(plain, "[ok]") || strings.Contains(plain, "truth") {
-		t.Errorf("plain table has annotations:\n%s", plain)
-	}
-}
-
-func TestMappingTableUnmapped(t *testing.T) {
-	l1, l2, _ := testLogs()
-	m := match.Mapping{event.None, 1}
-	table := MappingTable(l1, l2, m, nil)
-	if !strings.Contains(table, "A -> -") {
-		t.Errorf("unmapped row missing:\n%s", table)
-	}
-}
