@@ -145,3 +145,50 @@ func TestRunLoadsModulePackages(t *testing.T) {
 		t.Errorf("probe analyzer reported %d diagnostics, want 0", len(diags))
 	}
 }
+
+// TestModulePassReportf checks that findings a module-scope analyzer reports
+// through ModulePass.Reportf carry the analyzer's name and position, and pass
+// through the same ignore directives as per-package findings.
+func TestModulePassReportf(t *testing.T) {
+	const src = `package p
+
+func a() {}
+
+//matchlint:ignore modprobe -- intentional
+func b() {}
+
+func c() {}
+`
+	probe := &Analyzer{
+		Name: "modprobe",
+		Doc:  "reports every function declaration of every package",
+		RunModule: func(pass *ModulePass) error {
+			for _, pkg := range pass.Pkgs {
+				for _, f := range pkg.Files {
+					for _, decl := range f.Decls {
+						if fd, ok := decl.(*ast.FuncDecl); ok {
+							pass.Reportf(fd.Pos(), "func %s in %s", fd.Name.Name, pkg.Path)
+						}
+					}
+				}
+			}
+			return nil
+		},
+	}
+	fset, files, pkg, info := checkString(t, src)
+	diags, err := RunPackages([]*Package{{Path: pkg.Path(), Fset: fset, Files: files, Types: pkg, Info: info}}, []*Analyzer{probe})
+	if err != nil {
+		t.Fatalf("RunPackages: %v", err)
+	}
+	var got []string
+	for _, d := range diags {
+		got = append(got, d.String())
+	}
+	want := []string{
+		"fixture.go:3:1: [modprobe] func a in p",
+		"fixture.go:8:1: [modprobe] func c in p",
+	}
+	if strings.Join(got, "\n") != strings.Join(want, "\n") {
+		t.Errorf("diagnostics = %q, want %q", got, want)
+	}
+}

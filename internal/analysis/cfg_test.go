@@ -369,3 +369,39 @@ func TestCFGInfiniteLoopUnreachableAfter(t *testing.T) {
 		t.Errorf("reached markers = %v, want [1]", got)
 	}
 }
+
+// TestFuncBodies checks that every function body in a file is collected in
+// source order: declarations, methods and nested literals, but not bodiless
+// declarations.
+func TestFuncBodies(t *testing.T) {
+	const src = `package p
+
+func a() {
+	f := func() {
+		g := func() {}
+		_ = g
+	}
+	_ = f
+}
+
+type T struct{}
+
+func (T) m() {}
+
+func external()
+
+var v = func() int { return 1 }
+`
+	fset := token.NewFileSet()
+	f, err := parser.ParseFile(fset, "fixture.go", src, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var lines []int
+	for _, b := range FuncBodies(f) {
+		lines = append(lines, fset.Position(b.Lbrace).Line)
+	}
+	if want := []int{3, 4, 5, 13, 17}; !equalInts(lines, want) {
+		t.Errorf("body lines = %v, want %v", lines, want)
+	}
+}

@@ -266,3 +266,62 @@ func equalStrings(a, b []string) bool {
 	}
 	return true
 }
+
+// TestClassifyCondOp checks that Wait, Signal and Broadcast are recognized
+// on a *sync.Cond (through a field or a local, parenthesized or not) and
+// that same-named calls on other types are not.
+func TestClassifyCondOp(t *testing.T) {
+	const src = `package p
+
+import "sync"
+
+type T struct {
+	mu   sync.Mutex
+	cond *sync.Cond
+	wg   sync.WaitGroup
+}
+
+type fake struct{}
+
+func (fake) Wait()   {}
+func (fake) Signal() {}
+
+func (t *T) f() {
+	t.cond.Wait()
+	t.cond.Signal()
+	c := t.cond
+	(c).Broadcast()
+	t.wg.Wait()
+	var k fake
+	k.Wait()
+	k.Signal()
+	t.mu.Lock()
+	t.mu.Unlock()
+}
+`
+	_, files, info := checkSyncString(t, src)
+	var got []string
+	ast.Inspect(files[0], func(n ast.Node) bool {
+		call, ok := n.(*ast.CallExpr)
+		if !ok {
+			return true
+		}
+		op, ok := ClassifyCondOp(info, call)
+		if !ok {
+			return true
+		}
+		if op.Call != call {
+			t.Errorf("CondOp.Call is not the classified call")
+		}
+		got = append(got, strconv.Itoa(int(op.Kind))+":"+types.ExprString(op.Recv))
+		return true
+	})
+	want := []string{
+		strconv.Itoa(int(CondWait)) + ":t.cond",
+		strconv.Itoa(int(CondSignal)) + ":t.cond",
+		strconv.Itoa(int(CondBroadcast)) + ":(c)", // Recv is the selector's operand as written
+	}
+	if strings.Join(got, ",") != strings.Join(want, ",") {
+		t.Errorf("classified %v, want %v", got, want)
+	}
+}

@@ -1,10 +1,12 @@
 package baseline
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"eventmatch/internal/event"
 	"eventmatch/internal/match"
@@ -225,4 +227,85 @@ func randomLog(rng *rand.Rand, nEvents, nTraces int) *event.Log {
 		l.Append(tr)
 	}
 	return l
+}
+
+// TestVertexContextStopped checks the anytime contract of VertexContext: a
+// context that is already done yields a complete, injective mapping rounded
+// from an all-zero weight matrix, flagged truncated with the match package's
+// stop reason.
+func TestVertexContextStopped(t *testing.T) {
+	l1, l2 := twoLogs()
+	canceled, cancel := context.WithCancel(context.Background())
+	cancel()
+	expired, cancel2 := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
+	defer cancel2()
+	for _, tc := range []struct {
+		name string
+		ctx  context.Context
+		want string
+	}{
+		{"canceled", canceled, match.StopCanceled},
+		{"deadline", expired, match.StopDeadline},
+	} {
+		res, err := VertexContext(tc.ctx, l1, l2)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if !res.Truncated || res.StopReason != tc.want {
+			t.Errorf("%s: Truncated=%v StopReason=%q, want true %q", tc.name, res.Truncated, res.StopReason, tc.want)
+		}
+		if len(res.Mapping) != l1.NumEvents() || !res.Mapping.Complete() {
+			t.Errorf("%s: mapping %v is not complete over %d events", tc.name, res.Mapping, l1.NumEvents())
+		}
+		seen := map[event.ID]bool{}
+		for _, v2 := range res.Mapping {
+			if seen[v2] {
+				t.Errorf("%s: mapping %v is not injective", tc.name, res.Mapping)
+			}
+			seen[v2] = true
+		}
+		if res.Score != 0 {
+			t.Errorf("%s: score %v from an unfilled matrix, want 0", tc.name, res.Score)
+		}
+	}
+	full, err := VertexContext(context.Background(), l1, l2)
+	if err != nil || full.Truncated || full.StopReason != "" {
+		t.Fatalf("live context: truncated=%v reason=%q err=%v", full.Truncated, full.StopReason, err)
+	}
+}
+
+// TestFillRemaining checks that the unfilled tail rows of a weight matrix
+// are allocated at the matrix's width, whether the stop row itself was
+// allocated or not, and that filled rows are left alone.
+func TestFillRemaining(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		w    [][]float64
+		from int
+		cols int
+	}{
+		{"stop row allocated", [][]float64{make([]float64, 3), nil, nil}, 0, 3},
+		{"stop row nil", [][]float64{{1, 2, 3, 4}, nil, nil}, 1, 4},
+		{"last row allocated", [][]float64{{1, 2}, {0, 0}}, 1, 2},
+		{"nothing left", [][]float64{{1, 2}}, 1, 2},
+	} {
+		before := make([][]float64, len(tc.w))
+		for i, row := range tc.w {
+			before[i] = append([]float64(nil), row...)
+		}
+		fillRemaining(tc.w, tc.from)
+		for i, row := range tc.w {
+			if len(row) != tc.cols {
+				t.Errorf("%s: row %d has %d columns, want %d", tc.name, i, len(row), tc.cols)
+			}
+			for j, x := range row {
+				if j < len(before[i]) && x != before[i][j] {
+					t.Errorf("%s: row %d col %d changed %v → %v", tc.name, i, j, before[i][j], x)
+				}
+				if j >= len(before[i]) && x != 0 {
+					t.Errorf("%s: filled row %d col %d = %v, want 0", tc.name, i, j, x)
+				}
+			}
+		}
+	}
 }

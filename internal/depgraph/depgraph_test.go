@@ -463,3 +463,45 @@ func TestDiff(t *testing.T) {
 		}
 	}
 }
+
+// TestNeighbourFreqsParallel checks that the per-vertex frequency slices line
+// up with the neighbour lists: entry i is the frequency of the edge to (or
+// from) neighbour i.
+func TestNeighbourFreqsParallel(t *testing.T) {
+	l := fig1L1()
+	g := Build(l)
+	for v := event.ID(0); int(v) < g.NumVertices(); v++ {
+		succ, sf := g.Successors(v), g.SuccessorFreqs(v)
+		if len(succ) != len(sf) {
+			t.Fatalf("%s: %d successors, %d frequencies", l.Alphabet.Name(v), len(succ), len(sf))
+		}
+		for i, u := range succ {
+			if !approx(sf[i], g.EdgeFreq(v, u)) {
+				t.Errorf("f(%s→%s) = %v, EdgeFreq %v", l.Alphabet.Name(v), l.Alphabet.Name(u), sf[i], g.EdgeFreq(v, u))
+			}
+		}
+		pred, pf := g.Predecessors(v), g.PredecessorFreqs(v)
+		if len(pred) != len(pf) {
+			t.Fatalf("%s: %d predecessors, %d frequencies", l.Alphabet.Name(v), len(pred), len(pf))
+		}
+		for i, u := range pred {
+			if !approx(pf[i], g.EdgeFreq(u, v)) {
+				t.Errorf("f(%s→%s) = %v, EdgeFreq %v", l.Alphabet.Name(u), l.Alphabet.Name(v), pf[i], g.EdgeFreq(u, v))
+			}
+		}
+	}
+	// A→B occurs in 3 of 5 traces, B→C in 3, C→B in 2.
+	a, b := l.Alphabet.Lookup("A"), l.Alphabet.Lookup("B")
+	found := false
+	for i, u := range g.Successors(a) {
+		if u == b {
+			found = true
+			if !approx(g.SuccessorFreqs(a)[i], 0.6) {
+				t.Errorf("f(A→B) = %v, want 0.6", g.SuccessorFreqs(a)[i])
+			}
+		}
+	}
+	if !found {
+		t.Error("B missing from A's successors")
+	}
+}

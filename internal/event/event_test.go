@@ -226,3 +226,46 @@ func TestRegisterTelemetry(t *testing.T) {
 		}
 	}
 }
+
+// TestAppendDelta checks the delta of an append: its position, the trace
+// itself, and the distinct events in first-occurrence order.
+func TestAppendDelta(t *testing.T) {
+	l := FromStrings("A B")
+	a, b := l.Alphabet.Lookup("A"), l.Alphabet.Lookup("B")
+	d := l.AppendDelta(Trace{b, a, b, b, a})
+	if d.TraceIndex != 1 || l.NumTraces() != 2 {
+		t.Fatalf("TraceIndex = %d, traces = %d; want 1, 2", d.TraceIndex, l.NumTraces())
+	}
+	if !reflect.DeepEqual(d.Trace, Trace{b, a, b, b, a}) || !reflect.DeepEqual(l.Traces[1], d.Trace) {
+		t.Errorf("delta trace %v, log trace %v", d.Trace, l.Traces[1])
+	}
+	if want := []ID{b, a}; !reflect.DeepEqual(d.Events, want) {
+		t.Errorf("Events = %v, want %v", d.Events, want)
+	}
+	if len(d.NewEvents) != 0 {
+		t.Errorf("AppendDelta interned nothing, NewEvents = %v", d.NewEvents)
+	}
+	if e := l.AppendDelta(Trace{}); e.TraceIndex != 2 || len(e.Events) != 0 {
+		t.Errorf("empty trace delta = %+v", e)
+	}
+}
+
+// TestAppendNamesDelta checks that an append by names reports exactly the
+// ids it interned, ascending, and none when every name is already known.
+func TestAppendNamesDelta(t *testing.T) {
+	l := FromStrings("A B")
+	d := l.AppendNamesDelta("C", "A", "D", "C")
+	c, dd := l.Alphabet.Lookup("C"), l.Alphabet.Lookup("D")
+	if want := []ID{c, dd}; !reflect.DeepEqual(d.NewEvents, want) {
+		t.Errorf("NewEvents = %v, want %v", d.NewEvents, want)
+	}
+	if want := []ID{c, l.Alphabet.Lookup("A"), dd}; !reflect.DeepEqual(d.Events, want) {
+		t.Errorf("Events = %v, want %v", d.Events, want)
+	}
+	if d.TraceIndex != 1 || l.Traces[1].String(l.Alphabet) != "<C A D C>" {
+		t.Errorf("appended trace %d = %q", d.TraceIndex, l.Traces[1].String(l.Alphabet))
+	}
+	if again := l.AppendNamesDelta("B", "D"); len(again.NewEvents) != 0 || again.TraceIndex != 2 {
+		t.Errorf("known names: delta = %+v, want no new events at index 2", again)
+	}
+}

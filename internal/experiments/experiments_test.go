@@ -115,6 +115,96 @@ func TestFig9SmallShape(t *testing.T) {
 	}
 }
 
+// TestFig8SmallShape runs the exact approaches over trace counts at the
+// full event set. Counts beyond the generated log are skipped, and the three
+// exact pattern searches agree on accuracy at every count.
+func TestFig8SmallShape(t *testing.T) {
+	cfg := small()
+	points, err := overTraceCounts(cfg, []int{150, 300, 10000}, exactApproaches(cfg))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(points) != 2 || points[0].X != 150 || points[1].X != 300 {
+		t.Fatalf("points at %v, want x = 150, 300 (10000 > %d traces is skipped)", xs(points), cfg.Traces)
+	}
+	for _, p := range points {
+		if len(p.Results) != 6 {
+			t.Fatalf("x=%d results = %d, want 6 approaches", p.X, len(p.Results))
+		}
+		tight, ok1 := p.Get(ApPatternTight)
+		sharp, ok2 := p.Get(ApPatternSharp)
+		if !ok1 || !ok2 || tight.DNF || sharp.DNF || tight.Truncated || sharp.Truncated {
+			t.Fatalf("x=%d: exact pattern searches missing or unfinished: %+v %+v", p.X, tight, sharp)
+		}
+		if sharp.FMeasure != tight.FMeasure {
+			t.Errorf("x=%d: sharp F %v != tight F %v", p.X, sharp.FMeasure, tight.FMeasure)
+		}
+		if sharp.Generated > tight.Generated {
+			t.Errorf("x=%d: sharp generated %d > tight %d", p.X, sharp.Generated, tight.Generated)
+		}
+	}
+}
+
+// TestFig10SmallShape runs the heuristics over trace counts: on the head
+// of the log, as on the full log, Heuristic-Advanced processes fewer
+// mappings than Exact and is at least as accurate as Heuristic-Simple.
+func TestFig10SmallShape(t *testing.T) {
+	cfg := small()
+	points, err := overTraceCounts(cfg, []int{200, 600}, heuristicApproaches(cfg))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(points) != 2 {
+		t.Fatalf("points at %v, want x = 200, 600", xs(points))
+	}
+	for _, p := range points {
+		exact, _ := p.Get(ApExact)
+		adv, _ := p.Get(ApHeurAdvanced)
+		simple, _ := p.Get(ApHeurSimple)
+		if exact.DNF || adv.DNF || simple.DNF {
+			t.Fatalf("x=%d: unexpected DNF", p.X)
+		}
+		if adv.FMeasure < simple.FMeasure {
+			t.Errorf("x=%d: advanced F %v < simple F %v", p.X, adv.FMeasure, simple.FMeasure)
+		}
+		if adv.Generated >= exact.Generated {
+			t.Errorf("x=%d: advanced generated %d >= exact %d", p.X, adv.Generated, exact.Generated)
+		}
+	}
+}
+
+// TestHeadBoth checks that a trace-count point takes the head of both logs
+// and keeps the full problem's truth and patterns.
+func TestHeadBoth(t *testing.T) {
+	full := realLike(small())
+	h := headBoth(full, 50)
+	if h.L1.NumTraces() != 50 || h.L2.NumTraces() != 50 {
+		t.Fatalf("head has %d/%d traces, want 50", h.L1.NumTraces(), h.L2.NumTraces())
+	}
+	for i := 0; i < 50; i++ {
+		if h.L1.Traces[i].String(h.L1.Alphabet) != full.L1.Traces[i].String(full.L1.Alphabet) ||
+			h.L2.Traces[i].String(h.L2.Alphabet) != full.L2.Traces[i].String(full.L2.Alphabet) {
+			t.Fatalf("trace %d differs from the full log's", i)
+		}
+	}
+	if strings.Join(h.Patterns, ";") != strings.Join(full.Patterns, ";") || len(h.Truth) != len(full.Truth) {
+		t.Fatal("head lost the truth or the patterns")
+	}
+	for i := range h.Truth {
+		if h.Truth[i] != full.Truth[i] {
+			t.Fatalf("truth[%d] = %v, want %v", i, h.Truth[i], full.Truth[i])
+		}
+	}
+}
+
+func xs(points []Point) []int {
+	var out []int
+	for _, p := range points {
+		out = append(out, p.X)
+	}
+	return out
+}
+
 func TestFig12SmallShape(t *testing.T) {
 	cfg := small()
 	// One small block count only; the full sweep runs in cmd/experiments.

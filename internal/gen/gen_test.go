@@ -290,3 +290,45 @@ func TestFig1PatternBeatsBaselineScore(t *testing.T) {
 		t.Errorf("truth score %v far below optimum %v", truthScore, best)
 	}
 }
+
+// TestRealLikeDivergenceSharesSource checks what the divergence knob leaves
+// alone: the source log, the truth and the patterns are RealLike's at every
+// scale, and the same seed reproduces the same target log.
+func TestRealLikeDivergenceSharesSource(t *testing.T) {
+	ref := RealLike(9, 150)
+	for _, scale := range []float64{0, 0.5, 1, 3} {
+		g := RealLikeDivergence(9, 150, scale)
+		if !reflect.DeepEqual(g.L1.Traces, ref.L1.Traces) || !reflect.DeepEqual(g.L1.Alphabet.Names(), ref.L1.Alphabet.Names()) {
+			t.Errorf("scale %v: source log differs from RealLike's", scale)
+		}
+		if !reflect.DeepEqual(g.Truth, ref.Truth) || !reflect.DeepEqual(g.Patterns, ref.Patterns) {
+			t.Errorf("scale %v: truth or patterns differ from RealLike's", scale)
+		}
+		if again := RealLikeDivergence(9, 150, scale); !reflect.DeepEqual(again.L2.Traces, g.L2.Traces) {
+			t.Errorf("scale %v: same seed gave a different target log", scale)
+		}
+	}
+}
+
+// TestRealLikeDivergenceExtremeScales checks that exaggerated scales, which
+// would push an order weight below zero without the clamp, still produce
+// valid logs of the requested size whose patterns bind to the source.
+func TestRealLikeDivergenceExtremeScales(t *testing.T) {
+	for _, scale := range []float64{0, 10, 50} {
+		g := RealLikeDivergence(4, 120, scale)
+		if g.L1.NumTraces() != 120 || g.L2.NumTraces() != 120 {
+			t.Errorf("scale %v: %d/%d traces, want 120", scale, g.L1.NumTraces(), g.L2.NumTraces())
+		}
+		if err := g.L2.Validate(); err != nil {
+			t.Errorf("scale %v: L2: %v", scale, err)
+		}
+		if g.L2.NumEvents() != g.L1.NumEvents() {
+			t.Errorf("scale %v: %d target events, %d source events", scale, g.L2.NumEvents(), g.L1.NumEvents())
+		}
+		for _, src := range g.Patterns {
+			if _, err := pattern.ParseBind(src, g.L1.Alphabet); err != nil {
+				t.Errorf("scale %v: pattern %q: %v", scale, src, err)
+			}
+		}
+	}
+}

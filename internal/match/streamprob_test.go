@@ -301,3 +301,41 @@ func TestStreamProblemUnpadded(t *testing.T) {
 		}
 	}
 }
+
+// TestStreamProblemNumTraces checks that the trace count follows every
+// append, padded or not, and that each append's delta sits at the last
+// position and names exactly the ids it interned.
+func TestStreamProblemNumTraces(t *testing.T) {
+	l1 := event.FromStrings("A B C", "C B A")
+	for _, tc := range []struct {
+		name string
+		l2   *event.Log
+	}{
+		{"padded", event.FromStrings("1 2")},
+		{"unpadded", event.FromStrings("1 2 3 4", "4 3")},
+	} {
+		sp, err := NewStreamProblem(l1, tc.l2, nil, ModeVertexEdge)
+		if err != nil {
+			t.Fatal(err)
+		}
+		start := sp.NumTraces()
+		if start != tc.l2.NumTraces() {
+			t.Fatalf("%s: NumTraces = %d at open, want %d", tc.name, start, tc.l2.NumTraces())
+		}
+		for i, tr := range [][]string{{"1", "2"}, {"2", "9"}, {"9", "1", "9"}} {
+			known := sp.Problem().L2.NumEvents()
+			d := sp.Append(tr...)
+			if got := sp.NumTraces(); got != start+i+1 || got != sp.Problem().L2.NumTraces() {
+				t.Fatalf("%s: after %d appends NumTraces = %d, L2 has %d, want %d",
+					tc.name, i+1, got, sp.Problem().L2.NumTraces(), start+i+1)
+			}
+			if d.TraceIndex != sp.NumTraces()-1 {
+				t.Errorf("%s: delta at %d, last trace at %d", tc.name, d.TraceIndex, sp.NumTraces()-1)
+			}
+			wantNew := sp.Problem().L2.NumEvents() - known
+			if len(d.NewEvents) != wantNew {
+				t.Errorf("%s: append %v interned %d ids, delta names %v", tc.name, tr, wantNew, d.NewEvents)
+			}
+		}
+	}
+}

@@ -2,6 +2,7 @@ package pattern_test
 
 import (
 	"context"
+	"fmt"
 	"sync"
 	"testing"
 	"time"
@@ -208,5 +209,44 @@ func TestFrequencyCacheContext(t *testing.T) {
 	}
 	if hits, _, _ := pattern.CacheCounts(reg); hits != 1 {
 		t.Fatalf("hits after third lookup = %d, want 1", hits)
+	}
+}
+
+// TestEngineWorkerTelemetry checks the per-worker scan counters: a scan
+// large enough to shard spreads its candidates over the worker slots, and
+// the slots' counts add up to the traces scanned. The engine keeps the
+// index it was built on.
+func TestEngineWorkerTelemetry(t *testing.T) {
+	g := gen.LargeSynthetic(5, 2, 2000)
+	ix := pattern.NewTraceIndex(g.L1)
+	eng := pattern.NewEngine(ix, 4)
+	if eng.Index() != ix {
+		t.Fatal("Index() is not the index the engine was built on")
+	}
+	reg := telemetry.NewRegistry()
+	eng.SetTelemetry(reg)
+	p := pattern.Single(0)
+	if got, want := eng.Frequency(p), p.Frequency(g.L1); got != want {
+		t.Fatalf("Frequency = %v, want %v", got, want)
+	}
+	snap := reg.Snapshot()
+	scanned := snap.Counters["engine.traces_scanned"]
+	if scanned < 512 {
+		t.Fatalf("scanned %d traces; the case needs a scan large enough to shard", scanned)
+	}
+	if snap.Counters["engine.parallel_scans"] != 1 {
+		t.Fatalf("parallel_scans = %d, want 1", snap.Counters["engine.parallel_scans"])
+	}
+	var sum int64
+	slots := 0
+	for g := 0; g < 4; g++ {
+		n := snap.Counters[fmt.Sprintf("engine.worker.%02d.traces", g)]
+		if n > 0 {
+			slots++
+		}
+		sum += n
+	}
+	if sum != scanned || slots < 2 {
+		t.Errorf("worker slots hold %d traces over %d slots, scanned %d", sum, slots, scanned)
 	}
 }

@@ -188,3 +188,46 @@ func TestTerminalStateSurfacedInError(t *testing.T) {
 		t.Fatal("terminal job error classified retryable")
 	}
 }
+
+// TestDefaultRetryPolicy pins the interactive defaults and checks that its
+// delays stay inside the jittered exponential schedule.
+func TestDefaultRetryPolicy(t *testing.T) {
+	p := DefaultRetryPolicy()
+	want := RetryPolicy{MaxAttempts: 4, BaseDelay: 100 * time.Millisecond, MaxDelay: 5 * time.Second, Jitter: 0.5}
+	if p != want {
+		t.Fatalf("DefaultRetryPolicy() = %+v, want %+v", p, want)
+	}
+	plain := errors.New("boom")
+	for attempt := 0; attempt < p.MaxAttempts; attempt++ {
+		full := min(p.BaseDelay<<attempt, p.MaxDelay)
+		for i := 0; i < 20; i++ {
+			if d := p.delay(attempt, plain); d < full/2 || d > full {
+				t.Fatalf("delay(%d) = %v outside [%v, %v]", attempt, d, full/2, full)
+			}
+		}
+	}
+}
+
+// TestErrorMessages checks the text of the typed errors: the job state when
+// the server named one, and the reject reason of a 429.
+func TestErrorMessages(t *testing.T) {
+	cases := []struct {
+		err  error
+		want string
+	}{
+		{&StatusError{Code: 404, Msg: "no such job"}, "server: HTTP 404: no such job"},
+		{&StatusError{Code: 410, Msg: "gone", State: server.StateCanceled}, "server: HTTP 410 (job canceled): gone"},
+		{&SaturatedError{RetryAfter: 2 * time.Second, Reason: server.ReasonRateLimited}, "server: rate limited (retry after 2s)"},
+		{&SaturatedError{RetryAfter: time.Second, Reason: server.ReasonQueueFull}, "server: job queue full (retry after 1s)"},
+		{&SaturatedError{RetryAfter: time.Second}, "server: job queue full (retry after 1s)"},
+		{&SaturatedError{RetryAfter: 500 * time.Millisecond, Reason: "maintenance"}, "server: rejected (maintenance, retry after 500ms)"},
+	}
+	for _, c := range cases {
+		if got := c.err.Error(); got != c.want {
+			t.Errorf("Error() = %q, want %q", got, c.want)
+		}
+	}
+	if !(&SaturatedError{Reason: server.ReasonRateLimited}).RateLimited() || (&SaturatedError{Reason: server.ReasonQueueFull}).RateLimited() {
+		t.Error("RateLimited misclassifies the reject reason")
+	}
+}

@@ -3,7 +3,10 @@ package store
 import (
 	"bytes"
 	"context"
+	"errors"
 	"fmt"
+	"io/fs"
+	"os"
 	"path/filepath"
 	"strings"
 	"sync"
@@ -468,5 +471,83 @@ func TestRestartStress(t *testing.T) {
 	}
 	if int64(len(rec.Jobs)) < acked.Load() {
 		t.Fatalf("replay found %d jobs, but %d appends were acked", len(rec.Jobs), acked.Load())
+	}
+}
+
+// TestSessionRoundTrip journals three streaming sessions (one left open, one
+// closed cleanly, one aborted) and checks that a reopen replays each one's
+// spec, deltas in admission order, end state and final mapping.
+func TestSessionRoundTrip(t *testing.T) {
+	dir := t.TempDir()
+	ctx := context.Background()
+	s, _ := mustOpen(t, dir)
+	spec := &SessionRecord{Algorithm: "exact", Log1: LogRef{Key: strings.Repeat("c", 64), Format: "log"}, Patterns: []string{"SEQ(A,B)"}}
+	final := &SessionFinalRecord{Revision: 3, Pairs: map[string]string{"A": "x", "B": "y"}, Score: 0.75}
+	steps := []func() error{
+		func() error { return s.AppendSessionOpen(ctx, "s1", spec, 1) },
+		func() error { return s.AppendSessionOpen(ctx, "s2", spec, 2) },
+		func() error { return s.AppendSessionDelta(ctx, "s1", []string{"x y"}, 3) },
+		func() error { return s.AppendSessionDelta(ctx, "s2", []string{"y x", "x"}, 4) },
+		func() error { return s.AppendSessionDelta(ctx, "s1", []string{"y"}, 5) },
+		func() error { return s.AppendSessionClose(ctx, "s2", "closed", final, 6) },
+		func() error { return s.AppendSessionOpen(ctx, "s3", spec, 7) },
+		func() error { return s.AppendSessionClose(ctx, "s3", "aborted", nil, 8) },
+	}
+	for i, step := range steps {
+		if err := step(); err != nil {
+			t.Fatalf("step %d: %v", i, err)
+		}
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	_, rec := mustOpen(t, dir)
+	if rec.Torn != 0 || rec.Skipped != 0 || rec.Records != len(steps) {
+		t.Fatalf("reopen: records=%d torn=%d skipped=%d", rec.Records, rec.Torn, rec.Skipped)
+	}
+	if rec.MaxSessionSeq != 3 {
+		t.Errorf("MaxSessionSeq = %d, want 3", rec.MaxSessionSeq)
+	}
+	if len(rec.Sessions) != 3 {
+		t.Fatalf("recovered %d sessions, want 3", len(rec.Sessions))
+	}
+	s1, s2, s3 := rec.Sessions[0], rec.Sessions[1], rec.Sessions[2]
+	if s1.ID != "s1" || s1.State != "open" || s1.Terminal() || s1.Final != nil {
+		t.Errorf("s1 recovered as %+v", s1)
+	}
+	if want := [][]string{{"x y"}, {"y"}}; fmt.Sprint(s1.Deltas) != fmt.Sprint(want) {
+		t.Errorf("s1 deltas = %q, want %q", s1.Deltas, want)
+	}
+	if s1.Spec.Algorithm != "exact" || s1.Spec.Log1 != spec.Log1 || fmt.Sprint(s1.Spec.Patterns) != "[SEQ(A,B)]" {
+		t.Errorf("s1 spec = %+v", s1.Spec)
+	}
+	if s2.ID != "s2" || s2.State != "closed" || !s2.Terminal() {
+		t.Errorf("s2 recovered as %+v", s2)
+	}
+	if s2.Final == nil || s2.Final.Revision != 3 || s2.Final.Score != 0.75 || s2.Final.Pairs["B"] != "y" {
+		t.Errorf("s2 final = %+v", s2.Final)
+	}
+	if s3.ID != "s3" || s3.State != "aborted" || !s3.Terminal() || s3.Final != nil || len(s3.Deltas) != 0 {
+		t.Errorf("s3 recovered as %+v", s3)
+	}
+}
+
+// TestOSFSRemove checks the real file system's Remove: it deletes a file and
+// reports a missing one as fs.ErrNotExist.
+func TestOSFSRemove(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "artifact")
+	var fsys OSFS
+	if err := os.WriteFile(path, []byte("x"), 0o600); err != nil {
+		t.Fatal(err)
+	}
+	if err := fsys.Remove(path); err != nil {
+		t.Fatalf("Remove: %v", err)
+	}
+	if _, err := fsys.Stat(path); !errors.Is(err, fs.ErrNotExist) {
+		t.Fatalf("Stat after Remove: %v, want not-exist", err)
+	}
+	if err := fsys.Remove(path); !errors.Is(err, fs.ErrNotExist) {
+		t.Fatalf("second Remove: %v, want not-exist", err)
 	}
 }
