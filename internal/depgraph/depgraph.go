@@ -15,8 +15,9 @@
 package depgraph
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 
 	"eventmatch/internal/event"
@@ -221,12 +222,12 @@ func (c *Counts) sortedSlots(dst []int32) []int32 {
 	for s := range c.edges {
 		dst = append(dst, int32(s))
 	}
-	sort.Slice(dst, func(i, j int) bool {
-		a, b := c.edges[dst[i]], c.edges[dst[j]]
+	slices.SortFunc(dst, func(i, j int32) int {
+		a, b := c.edges[i], c.edges[j]
 		if a.From != b.From {
-			return a.From < b.From
+			return cmp.Compare(a.From, b.From)
 		}
-		return a.To < b.To
+		return cmp.Compare(a.To, b.To)
 	})
 	return dst
 }
@@ -261,15 +262,15 @@ func (g *Graph) buildTables() {
 	for v := range g.vertexByFreq {
 		g.vertexByFreq[v] = event.ID(v)
 	}
-	sort.SliceStable(g.vertexByFreq, func(i, j int) bool {
-		return g.vertexFreq[g.vertexByFreq[i]] < g.vertexFreq[g.vertexByFreq[j]]
+	slices.SortStableFunc(g.vertexByFreq, func(a, b event.ID) int {
+		return cmp.Compare(g.vertexFreq[a], g.vertexFreq[b])
 	})
 	g.edgeByFreq = make([]int, len(g.edges))
 	for i := range g.edgeByFreq {
 		g.edgeByFreq[i] = i
 	}
-	sort.SliceStable(g.edgeByFreq, func(i, j int) bool {
-		return g.edgeFreq[g.edgeByFreq[i]] < g.edgeFreq[g.edgeByFreq[j]]
+	slices.SortStableFunc(g.edgeByFreq, func(a, b int) int {
+		return cmp.Compare(g.edgeFreq[a], g.edgeFreq[b])
 	})
 }
 

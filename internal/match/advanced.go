@@ -33,9 +33,27 @@ func (pr *Problem) HeuristicAdvanced(opts Options) (Mapping, Stats, error) {
 // mid-repair the current (already complete) matching is returned as-is.
 // Either way the result carries Stats.Truncated instead of an error.
 func (pr *Problem) HeuristicAdvancedContext(ctx context.Context, opts Options) (Mapping, Stats, error) {
+	return pr.runAdvanced(ctx, opts, boundedPhases)
+}
+
+// advancedPhases are the two phases of Heuristic-Advanced that read
+// complex-pattern frequencies: the choice among a pattern's ranked
+// embeddings while anchoring, and the repair hill-climb. boundedPhases skip
+// every frequency an admissible bound already decides; the tests run the
+// full-evaluation references through the same loop and require identical
+// decisions.
+type advancedPhases struct {
+	pickEmbedding embeddingPicker
+	repair        func(pr *Problem, m Mapping, st *Stats, stop *stopper, tele *searchTelemetry)
+}
+
+var boundedPhases = advancedPhases{pickEmbedding: (*seedContext).pickEmbedding, repair: (*Problem).repair}
+
+// runAdvanced is HeuristicAdvancedContext with the given phases.
+func (pr *Problem) runAdvanced(ctx context.Context, opts Options, ph advancedPhases) (Mapping, Stats, error) {
 	tele := pr.newSearchTelemetry(opts)
 	span := tele.advancedTime.Start()
-	m, st, err := pr.heuristicAdvanced(ctx, opts, tele)
+	m, st, err := pr.heuristicAdvanced(ctx, opts, tele, ph)
 	span.Stop()
 	m, st = pr.applySeedFloor(opts, m, st, err)
 	tele.noteRescore(pr, m)
@@ -44,7 +62,7 @@ func (pr *Problem) HeuristicAdvancedContext(ctx context.Context, opts Options) (
 }
 
 // heuristicAdvanced is the Algorithm 3 loop behind HeuristicAdvancedContext.
-func (pr *Problem) heuristicAdvanced(ctx context.Context, opts Options, tele *searchTelemetry) (m Mapping, st Stats, err error) {
+func (pr *Problem) heuristicAdvanced(ctx context.Context, opts Options, tele *searchTelemetry, ph advancedPhases) (m Mapping, st Stats, err error) {
 	start := time.Now()
 	stop := newStopper(ctx, opts, start)
 	defer func() { m, st = pr.applyCheckpointFloor(stop, m, st, err) }()
@@ -85,7 +103,7 @@ func (pr *Problem) heuristicAdvanced(ctx context.Context, opts Options, tele *se
 	// only has to fill in the rest. Vertex/edge-only problems are unaffected
 	// (no complex patterns), keeping Proposition 6 intact.
 	if !opts.NoSeed {
-		anchors := pr.seedFromPatterns(&st, stop)
+		anchors := pr.seedFromPatterns(&st, stop, ph.pickEmbedding)
 		tele.seedAnchors.Add(int64(len(anchors)))
 		for _, pair := range anchors {
 			matchX[pair[0]] = pair[1]
@@ -174,7 +192,7 @@ func (pr *Problem) heuristicAdvanced(ctx context.Context, opts Options, tele *se
 				snap := m.Clone()
 				return pr.stripArtificial(snap), pr.Distance(snap)
 			})
-			pr.repair(m, &st, opts, stop, tele)
+			ph.repair(pr, m, &st, stop, tele)
 		}
 	}
 	pr.stripArtificial(m)
@@ -294,9 +312,15 @@ func (pr *Problem) augmentRound(theta [][]float64, lx, ly []float64, matchX, mat
 // (not once per sweep): a full sweep is quadratic-to-cubic in the alphabet,
 // far too coarse a granularity for a wall-clock deadline. m stays complete
 // at every instant, so an early return is a valid anytime result.
-func (pr *Problem) repair(m Mapping, st *Stats, opts Options, stop *stopper, tele *searchTelemetry) {
+//
+// A move is committed when its gain exceeds eps. Each gain is first bounded
+// without any log scan (see repairState.gain), and a move whose bound
+// cannot exceed eps is rejected on the bound alone: the decisions, and so
+// the result, are those of evaluating every gain in full.
+func (pr *Problem) repair(m Mapping, st *Stats, stop *stopper, tele *searchTelemetry) {
 	n1 := len(m)
 	const eps = 1e-12
+	r := pr.newRepairState(m)
 	for improved := true; improved; {
 		improved = false
 		// Pairwise target swaps.
@@ -306,8 +330,9 @@ func (pr *Problem) repair(m Mapping, st *Stats, opts Options, stop *stopper, tel
 					return
 				}
 				st.Generated++
-				if pr.swapGain(m, event.ID(i), event.ID(j)) > eps {
+				if r.swapGain(m, event.ID(i), event.ID(j), eps) > eps {
 					m[i], m[j] = m[j], m[i]
+					r.commit()
 					improved = true
 					tele.repairMoves.Inc()
 				}
@@ -329,8 +354,9 @@ func (pr *Problem) repair(m Mapping, st *Stats, opts Options, stop *stopper, tel
 							return
 						}
 						st.Generated++
-						if pr.rotateGain(m, event.ID(i), event.ID(j), event.ID(k)) > eps {
+						if r.rotateGain(m, event.ID(i), event.ID(j), event.ID(k), eps) > eps {
 							m[i], m[j], m[k] = m[j], m[k], m[i]
+							r.commit()
 							improved = true
 							tele.repairMoves.Inc()
 						}
@@ -356,8 +382,9 @@ func (pr *Problem) repair(m Mapping, st *Stats, opts Options, stop *stopper, tel
 					}
 					st.Generated++
 					old := m[i]
-					if pr.moveGain(m, event.ID(i), event.ID(b)) > eps {
+					if r.moveGain(m, event.ID(i), event.ID(b), eps) > eps {
 						m[i] = event.ID(b)
+						r.commit()
 						if old != event.None {
 							used[old] = false
 						}
@@ -371,83 +398,112 @@ func (pr *Problem) repair(m Mapping, st *Stats, opts Options, stop *stopper, tel
 	}
 }
 
-// swapGain returns the change in pattern normal distance if m[i] and m[j]
-// exchange targets, touching only the patterns containing i or j.
-func (pr *Problem) swapGain(m Mapping, i, j event.ID) float64 {
-	affected := pr.affectedPatterns(i, j)
-	before := pr.patternsScore(affected, m)
-	m[i], m[j] = m[j], m[i]
-	after := pr.patternsScore(affected, m)
-	m[i], m[j] = m[j], m[i]
-	return after - before
+// repairState is one repair run's bookkeeping: every pattern's contribution
+// under the current mapping, and the move under evaluation. It lives for a
+// single repair call and never on the Problem, which concurrent searches
+// may share.
+type repairState struct {
+	pr  *Problem
+	cur []float64 // cur[p]: d(p) under the current mapping; 0 while p is not fully mapped
+
+	affected []int     // the patterns the evaluated move touches, in Ip order
+	after    []float64 // their contributions after the move, once evaluated in full
+	mark     []int     // mark[p] == stamp: p is already in affected
+	stamp    int
 }
 
-// rotateGain returns the change in pattern normal distance for the 3-cycle
-// m[i]←m[j]←m[k]←m[i], touching only the patterns containing i, j or k.
-func (pr *Problem) rotateGain(m Mapping, i, j, k event.ID) float64 {
-	affected := pr.affectedPatterns(i, j)
-	for _, pi := range pr.pix.Containing(k) {
-		dup := false
-		for _, q := range affected {
-			if q == pi {
-				dup = true
-				break
-			}
-		}
-		if !dup {
-			affected = append(affected, pi)
+func (pr *Problem) newRepairState(m Mapping) *repairState {
+	r := &repairState{pr: pr, cur: make([]float64, len(pr.patterns)), mark: make([]int, len(pr.patterns))}
+	for p := range pr.patterns {
+		if pi := &pr.patterns[p]; fullyMapped(pi, m) {
+			r.cur[p] = pr.contribution(pi, m)
 		}
 	}
-	before := pr.patternsScore(affected, m)
+	return r
+}
+
+// collect sets affected to the union of the patterns containing each of
+// the given events, in the order Ip lists them.
+func (r *repairState) collect(events ...event.ID) {
+	r.stamp++
+	r.affected = r.affected[:0]
+	for _, v := range events {
+		for _, p := range r.pr.pix.Containing(v) {
+			if r.mark[p] != r.stamp {
+				r.mark[p] = r.stamp
+				r.affected = append(r.affected, p)
+			}
+		}
+	}
+}
+
+// swapGain is the gain of m[i] and m[j] exchanging targets (see gain).
+func (r *repairState) swapGain(m Mapping, i, j event.ID, eps float64) float64 {
+	r.collect(i, j)
+	m[i], m[j] = m[j], m[i]
+	g := r.gain(m, eps)
+	m[i], m[j] = m[j], m[i]
+	return g
+}
+
+// rotateGain is the gain of the 3-cycle m[i]←m[j]←m[k]←m[i] (see gain).
+func (r *repairState) rotateGain(m Mapping, i, j, k event.ID, eps float64) float64 {
+	r.collect(i, j, k)
 	mi, mj, mk := m[i], m[j], m[k]
 	m[i], m[j], m[k] = mj, mk, mi
-	after := pr.patternsScore(affected, m)
+	g := r.gain(m, eps)
 	m[i], m[j], m[k] = mi, mj, mk
-	return after - before
+	return g
 }
 
-// moveGain returns the change in pattern normal distance if m[i] is
-// re-targeted to the unused event b.
-func (pr *Problem) moveGain(m Mapping, i, b event.ID) float64 {
-	affected := pr.pix.Containing(i)
-	before := pr.patternsScore(affected, m)
+// moveGain is the gain of re-targeting m[i] to the unused event b (see
+// gain).
+func (r *repairState) moveGain(m Mapping, i, b event.ID, eps float64) float64 {
+	r.collect(i)
 	old := m[i]
 	m[i] = b
-	after := pr.patternsScore(affected, m)
+	g := r.gain(m, eps)
 	m[i] = old
+	return g
+}
+
+// gain returns the change in pattern normal distance over the affected
+// patterns, from their current contributions to those under m, the mapping
+// with the move applied. It first sums an upper bound of the moved terms in
+// the same order, scanning no log: vertex and edge terms exactly, a complex
+// pattern as Sim(f1, 0) when Proposition 3 rules its image out and as 1
+// otherwise. Sums and Sim are monotone in floating point, so the exact gain
+// is at most bound − before; when that is ≤ eps it is returned instead.
+// Otherwise the gain is exact, and commit can apply the move's terms.
+func (r *repairState) gain(m Mapping, eps float64) float64 {
+	pr := r.pr
+	before, bound := 0.0, 0.0
+	for _, p := range r.affected {
+		before += r.cur[p]
+		bound += pr.contributionBound(&pr.patterns[p], m)
+	}
+	if bound-before <= eps {
+		return bound - before
+	}
+	after := 0.0
+	r.after = r.after[:0]
+	for _, p := range r.affected {
+		d := 0.0
+		if pi := &pr.patterns[p]; fullyMapped(pi, m) {
+			d = pr.contribution(pi, m)
+		}
+		r.after = append(r.after, d)
+		after += d
+	}
 	return after - before
 }
 
-// affectedPatterns returns the union of pattern indices containing i or j.
-func (pr *Problem) affectedPatterns(i, j event.ID) []int {
-	a, b := pr.pix.Containing(i), pr.pix.Containing(j)
-	out := make([]int, 0, len(a)+len(b))
-	out = append(out, a...)
-	for _, pi := range b {
-		dup := false
-		for _, q := range a {
-			if q == pi {
-				dup = true
-				break
-			}
-		}
-		if !dup {
-			out = append(out, pi)
-		}
+// commit records the last evaluated move as made: it must follow a gain
+// that came back above eps, so its terms are exact.
+func (r *repairState) commit() {
+	for k, p := range r.affected {
+		r.cur[p] = r.after[k]
 	}
-	return out
-}
-
-// patternsScore sums d(p) over the given (fully mapped) pattern indices.
-func (pr *Problem) patternsScore(idxs []int, m Mapping) float64 {
-	total := 0.0
-	for _, pi := range idxs {
-		p := &pr.patterns[pi]
-		if fullyMapped(p, m) {
-			total += pr.contribution(p, m)
-		}
-	}
-	return total
 }
 
 // rowOrder returns row indices 0..n-1 with the real V1 events first in

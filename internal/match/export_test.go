@@ -1,6 +1,10 @@
 package match
 
-import "eventmatch/internal/event"
+import (
+	"context"
+
+	"eventmatch/internal/event"
+)
 
 // DebugAssertions exposes whether the matchdebug assertions are compiled
 // in; some of them allocate, so allocation gates skip under them.
@@ -32,4 +36,10 @@ func ChildHBound(pr *Problem, kind BoundKind, parentM Mapping, parentUsed []bool
 	m, used := parentM.Clone(), append([]bool(nil), parentUsed...)
 	m[a], used[b] = b, true
 	return ex.childH(m, used, b)
+}
+
+// HeuristicAdvancedReference is HeuristicAdvanced with the full-evaluation
+// reference phases (see referencePhases) in place of the bounded ones.
+func (pr *Problem) HeuristicAdvancedReference(opts Options) (Mapping, Stats, error) {
+	return pr.runAdvanced(context.Background(), opts, referencePhases)
 }

@@ -331,13 +331,8 @@ func (pr *Problem) f2(pi *pinfo, m Mapping) float64 {
 	default:
 		// Proposition 3: if the mapped graph form is not a subgraph of G2,
 		// the frequency is 0 — skip the log scan.
-		if !pr.DisableExistencePruning {
-			for _, e := range pi.edges {
-				a, b := m[e.From], m[e.To]
-				if a == event.None || b == event.None || !pr.G2.HasEdge(a, b) {
-					return 0
-				}
-			}
+		if !pr.DisableExistencePruning && !pr.graphFormIn(pi, m) {
+			return 0
 		}
 		for _, v := range pi.events {
 			if m[v] == event.None {
@@ -352,9 +347,39 @@ func (pr *Problem) f2(pi *pinfo, m Mapping) float64 {
 	}
 }
 
+// graphFormIn reports whether every edge of pi's graph form maps onto an
+// edge of G2 under m.
+func (pr *Problem) graphFormIn(pi *pinfo, m Mapping) bool {
+	for _, e := range pi.edges {
+		a, b := m[e.From], m[e.To]
+		if a == event.None || b == event.None || !pr.G2.HasEdge(a, b) {
+			return false
+		}
+	}
+	return true
+}
+
 // contribution returns d(p) = Sim(f1(p), f2(M(p))) for a fully mapped pattern.
 func (pr *Problem) contribution(pi *pinfo, m Mapping) float64 {
 	return Sim(pi.f1, pr.f2(pi, m))
+}
+
+// contributionBound is an upper bound of pi's term in Distance(m) that
+// scans no log: 0 when pi is not fully mapped, d(p) itself for vertex and
+// edge patterns, Sim(f1, 0) for a complex pattern whose image Proposition 3
+// rules out (unless existence pruning is disabled), and 1, the most any
+// d(p) can be, for every other complex pattern.
+func (pr *Problem) contributionBound(pi *pinfo, m Mapping) float64 {
+	switch {
+	case !fullyMapped(pi, m):
+		return 0
+	case pi.kind != KindComplex:
+		return pr.contribution(pi, m)
+	case !pr.DisableExistencePruning && !pr.graphFormIn(pi, m):
+		return Sim(pi.f1, 0)
+	default:
+		return 1
+	}
 }
 
 // Distance computes the pattern normal distance D^N(M) of Definition 5 for a

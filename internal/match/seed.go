@@ -36,9 +36,11 @@ const minSeedScore = 0.5
 // connect them, so the chain is resolved outward from the least ambiguous
 // fragment instead of in arbitrary declaration order.
 //
-// The stopper is polled inside the embedding enumeration; on a stop the
-// anchors committed so far are returned, keeping the phase anytime.
-func (pr *Problem) seedFromPatterns(st *Stats, stop *stopper) [][2]int {
+// pick chooses among each pattern's ranked embeddings (see
+// seedContext.pickEmbedding). The stopper is polled inside the embedding
+// enumeration; on a stop the anchors committed so far are returned, keeping
+// the phase anytime.
+func (pr *Problem) seedFromPatterns(st *Stats, stop *stopper, pick embeddingPicker) [][2]int {
 	var complexIdx []int
 	for i := range pr.patterns {
 		if pr.patterns[i].kind == KindComplex {
@@ -105,7 +107,7 @@ func (pr *Problem) seedFromPatterns(st *Stats, stop *stopper) [][2]int {
 			if pi.omega != minOmega {
 				continue // deferred to a later round
 			}
-			top, second, topAssign := ctx.bestEmbedding(pi, assigned, usedTarget, st, stop)
+			top, second, topAssign := ctx.bestEmbedding(pi, assigned, usedTarget, st, stop, pick)
 			if topAssign == nil {
 				next = next[:len(next)-1] // no viable embedding; pattern retired
 				continue
@@ -197,22 +199,31 @@ func (ctx *seedContext) massSim(v event.ID, x event.ID) float64 {
 	return Sim(ctx.in1[v], ctx.in2[x]) + Sim(ctx.out1[v], ctx.out2[x])
 }
 
+// embedding is one embedding of a pattern's graph form into G2: the target
+// of each pattern event, in pattern-event order, and its cheap score.
+type embedding struct {
+	m     []int
+	cheap float64
+}
+
+// embeddingPicker chooses among a pattern's embeddings, ranked by cheap
+// score, and returns the best and second-best totals and the best one's
+// assignment (see seedContext.pickEmbedding).
+type embeddingPicker func(ctx *seedContext, pi *pinfo, embs []embedding, scratch Mapping) (best, second float64, bestAssign []int)
+
 // bestEmbedding enumerates embeddings of pi's graph form over unused targets
 // and returns the best and second-best total scores plus the winning
 // assignment (pattern-event order). Scoring is two-phase: a cheap local
 // score (vertex/edge/mass evidence among the assignment and toward existing
-// anchors) ranks all embeddings; the pattern's own frequency contribution is
-// then evaluated for the top candidates only and gates acceptance.
-func (ctx *seedContext) bestEmbedding(pi *pinfo, assigned Mapping, usedTarget []bool, st *Stats, stop *stopper) (best, second float64, bestAssign []int) {
+// anchors) ranks all embeddings; pick then adds the pattern's own frequency
+// contribution for the top candidates, which also gates acceptance. pi's
+// events must all be unassigned.
+func (ctx *seedContext) bestEmbedding(pi *pinfo, assigned Mapping, usedTarget []bool, st *Stats, stop *stopper, pick embeddingPicker) (best, second float64, bestAssign []int) {
 	pr := ctx.pr
 	pg, local := patternIsoGraph(pi)
 	affected := pr.affectedOf(local)
 
-	type emb struct {
-		m     []int
-		cheap float64
-	}
-	var embs []emb
+	var embs []embedding
 	count := 0
 	scratch := assigned.Clone()
 	isomorph.Enumerate(pg, ctx.target, false, func(m []int) bool {
@@ -235,7 +246,7 @@ func (ctx *seedContext) bestEmbedding(pi *pinfo, assigned Mapping, usedTarget []
 		for _, v := range local {
 			scratch[v] = assigned[v]
 		}
-		embs = append(embs, emb{append([]int(nil), m...), cheap})
+		embs = append(embs, embedding{append([]int(nil), m...), cheap})
 		return count < seedEmbeddingLimit
 	})
 	if len(embs) == 0 {
@@ -245,15 +256,37 @@ func (ctx *seedContext) bestEmbedding(pi *pinfo, assigned Mapping, usedTarget []
 	if len(embs) > seedEvalTop {
 		embs = embs[:seedEvalTop]
 	}
+	best, second, bestAssign = pick(ctx, pi, embs, scratch)
+	if bestAssign == nil {
+		return 0, 0, nil
+	}
+	if second < 0 {
+		second = 0
+	}
+	return best, second, bestAssign
+}
+
+// pickEmbedding returns the best and second-best totals, own contribution
+// plus cheap score, over the embeddings, in descending cheap order, whose
+// own contribution reaches minSeedScore, and the best one's assignment; -1
+// stands for a missing total. scratch is the committed anchors, with pi's
+// events unassigned, and is left so. The own contribution is at most 1, so
+// the walk stops at the first embedding with 1 + cheap ≤ second: neither it
+// nor any later one can change best or second, and their patterns'
+// frequencies are never evaluated.
+func (ctx *seedContext) pickEmbedding(pi *pinfo, embs []embedding, scratch Mapping) (best, second float64, bestAssign []int) {
 	best, second = -1, -1
 	for _, e := range embs {
-		for li, v := range local {
+		if 1+e.cheap <= second {
+			break
+		}
+		for li, v := range pi.events {
 			scratch[v] = event.ID(e.m[li])
 		}
-		own := pr.contribution(pi, scratch)
+		own := ctx.pr.contribution(pi, scratch)
 		total := own + e.cheap
-		for _, v := range local {
-			scratch[v] = assigned[v]
+		for _, v := range pi.events {
+			scratch[v] = event.None
 		}
 		if own < minSeedScore {
 			continue
@@ -266,12 +299,6 @@ func (ctx *seedContext) bestEmbedding(pi *pinfo, assigned Mapping, usedTarget []
 		case total > second:
 			second = total
 		}
-	}
-	if bestAssign == nil {
-		return 0, 0, nil
-	}
-	if second < 0 {
-		second = 0
 	}
 	return best, second, bestAssign
 }

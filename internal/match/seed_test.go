@@ -56,7 +56,7 @@ func TestSeedFromPatternsAnchorsBlocks(t *testing.T) {
 		t.Fatal(err)
 	}
 	var st Stats
-	seeds := pr.seedFromPatterns(&st, newStopper(context.Background(), Options{}, time.Now()))
+	seeds := pr.seedFromPatterns(&st, newStopper(context.Background(), Options{}, time.Now()), boundedPhases.pickEmbedding)
 	if len(seeds) == 0 {
 		t.Fatal("no anchors committed")
 	}
@@ -86,7 +86,7 @@ func TestSeedFromPatternsNoComplexPatterns(t *testing.T) {
 		t.Fatal(err)
 	}
 	var st Stats
-	if seeds := pr.seedFromPatterns(&st, newStopper(context.Background(), Options{}, time.Now())); seeds != nil {
+	if seeds := pr.seedFromPatterns(&st, newStopper(context.Background(), Options{}, time.Now()), boundedPhases.pickEmbedding); seeds != nil {
 		t.Errorf("vertex+edge problems must not seed: %v", seeds)
 	}
 }
@@ -128,7 +128,7 @@ func TestRepairFixesSwappedPair(t *testing.T) {
 	m[a], m[x] = m[x], m[a]
 	before := pr.Distance(m)
 	var st Stats
-	pr.repair(m, &st, Options{}, newStopper(context.Background(), Options{}, time.Now()), pr.newSearchTelemetry(Options{}))
+	pr.repair(m, &st, newStopper(context.Background(), Options{}, time.Now()), pr.newSearchTelemetry(Options{}))
 	after := pr.Distance(m)
 	if after < before {
 		t.Errorf("repair decreased score: %v -> %v", before, after)
@@ -144,18 +144,25 @@ func TestSwapAndMoveGains(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// With eps = -Inf no bound can decide a move, so every gain is exact.
+	exact := math.Inf(-1)
 	m := truth.Clone()
+	r := pr.newRepairState(m)
 	a, b := l1.Alphabet.Lookup("A"), l1.Alphabet.Lookup("X")
 	// Gain of swapping then swapping back must be opposite.
-	g1 := pr.swapGain(m, a, b)
+	g1 := r.swapGain(m, a, b, exact)
+	if ref := pr.refSwapGain(m, a, b); g1 != ref {
+		t.Errorf("swap gain %v, full evaluation %v", g1, ref)
+	}
 	m[a], m[b] = m[b], m[a]
-	g2 := pr.swapGain(m, a, b)
+	r.commit()
+	g2 := r.swapGain(m, a, b, exact)
 	if g1+g2 > 1e-9 || g1+g2 < -1e-9 {
 		t.Errorf("swap gains not antisymmetric: %v and %v", g1, g2)
 	}
 	// swapGain must not mutate the mapping.
 	m2 := m.Clone()
-	pr.swapGain(m, a, b)
+	r.swapGain(m, a, b, exact)
 	for i := range m {
 		if m[i] != m2[i] {
 			t.Fatal("swapGain mutated the mapping")
@@ -163,10 +170,34 @@ func TestSwapAndMoveGains(t *testing.T) {
 	}
 	// rotateGain must not mutate either.
 	c := l1.Alphabet.Lookup("C")
-	pr.rotateGain(m, a, b, c)
+	r.rotateGain(m, a, b, c, exact)
 	for i := range m {
 		if m[i] != m2[i] {
 			t.Fatal("rotateGain mutated the mapping")
+		}
+	}
+	// Under a finite eps a gain is exact whenever it exceeds eps, and a
+	// bound no smaller than the exact gain otherwise.
+	const eps = 1e-12
+	n := event.ID(len(m))
+	for i := event.ID(0); i < n; i++ {
+		for j := event.ID(0); j < n; j++ {
+			if j == i {
+				continue
+			}
+			got, ref := r.swapGain(m, i, j, eps), pr.refSwapGain(m, i, j)
+			if got < ref || (got > eps && got != ref) {
+				t.Errorf("swap %d,%d: bounded gain %v, exact %v", i, j, got, ref)
+			}
+			for k := j + 1; k < n; k++ {
+				if k == i {
+					continue
+				}
+				got, ref := r.rotateGain(m, i, j, k, eps), pr.refRotateGain(m, i, j, k)
+				if got < ref || (got > eps && got != ref) {
+					t.Errorf("rotate %d,%d,%d: bounded gain %v, exact %v", i, j, k, got, ref)
+				}
+			}
 		}
 	}
 }

@@ -296,9 +296,13 @@ type SessionStatus struct {
 	Accepted int            `json:"accepted"`
 	Update   *SessionUpdate `json:"update,omitempty"`
 
-	// Error carries the most recent re-search failure, if any (the session
-	// keeps running; the next append retries).
+	// Error carries the most recent append or re-search failure, if any
+	// (the session keeps running; the next append retries).
 	Error string `json:"error,omitempty"`
+	// FailedSearches counts the re-searches that failed since the session
+	// started in this process. A failed re-search publishes nothing, so
+	// Update stays at the last successful one.
+	FailedSearches int `json:"failed_searches,omitempty"`
 }
 
 // Rejection reasons carried in ErrorResponse.Reason on HTTP 429, so clients

@@ -98,6 +98,15 @@ func (ss *streamSession) statusLocked() SessionStatus {
 		up := *ss.last
 		st.Update = &up
 	}
+	if ss.core != nil {
+		// The core's lock is never held while this one is taken (OnUpdate
+		// runs after the core unlocks), so taking it here cannot deadlock.
+		n, err := ss.core.SearchFailures()
+		st.FailedSearches = n
+		if err != nil && st.Error == "" {
+			st.Error = err.Error()
+		}
+	}
 	return st
 }
 

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"math"
 	"net/http"
 	"net/http/httptest"
@@ -12,8 +13,11 @@ import (
 	"testing"
 	"time"
 
+	"eventmatch/internal/event"
 	"eventmatch/internal/gen"
 	"eventmatch/internal/logio"
+	"eventmatch/internal/match"
+	"eventmatch/internal/stream"
 
 	"eventmatch"
 )
@@ -506,5 +510,37 @@ func TestSessionRecoveryServesTerminal(t *testing.T) {
 	// Terminal-restored sessions refuse appends but serve status forever.
 	if resp, _, _ := appendSessionHTTP(t, ts2, st.ID, lines[:1]); resp.StatusCode != http.StatusGone {
 		t.Fatalf("append to restored terminal session: HTTP %d, want 410", resp.StatusCode)
+	}
+}
+
+// TestSessionStatusCountsFailedSearches checks that a session's status
+// reports the re-searches its core failed, with the latest failure's error,
+// so a stale published mapping can be told apart from a fresh one.
+func TestSessionStatusCountsFailedSearches(t *testing.T) {
+	ss := newStreamSession(fixedSpec{algoName: "exact"}, time.Now(), SessionOpen, 0)
+	core, err := stream.NewSession(stream.SessionConfig{
+		L1:   event.FromStrings("A B"),
+		Mode: match.ModeVertex,
+		Search: func(context.Context, *match.Problem, match.Options) (match.Mapping, match.Stats, error) {
+			return nil, match.Stats{}, errors.New("injected search failure")
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ss.core = core
+	if st := ss.status(); st.FailedSearches != 0 || st.Error != "" {
+		t.Fatalf("fresh session: %d failed searches, error %q", st.FailedSearches, st.Error)
+	}
+	if _, err := core.Append([]string{"a", "b"}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := core.Close(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	st := ss.status()
+	if st.FailedSearches != 1 || st.Error != "injected search failure" || st.Update != nil {
+		t.Errorf("after a failed re-search: %d failed searches, error %q, update %v; want 1, the failure, none",
+			st.FailedSearches, st.Error, st.Update)
 	}
 }

@@ -87,6 +87,8 @@ type Session struct {
 	searchCancel context.CancelFunc // cancels the in-flight re-search
 	cur          Update
 	hasCur       bool
+	failures     int   // re-searches that returned an error
+	lastErr      error // the latest re-search's error; nil once one succeeds
 
 	done chan struct{} // closed when the writer exits
 }
@@ -153,6 +155,16 @@ func (s *Session) Accepted() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.accepted
+}
+
+// SearchFailures reports how many re-searches have failed so far, and the
+// latest re-search's error if it failed (nil once a later one succeeds). A
+// failed re-search publishes nothing, so while lastErr is set the published
+// update reflects fewer traces than have been folded in.
+func (s *Session) SearchFailures() (n int, lastErr error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.failures, s.lastErr
 }
 
 // Done is closed when the writer goroutine has exited (after Close drains or
@@ -260,6 +272,12 @@ func (s *Session) run() {
 		s.mu.Lock()
 		s.searchCancel = nil
 		aborted := s.aborted
+		if !aborted {
+			s.lastErr = err
+			if err != nil {
+				s.failures++
+			}
+		}
 		s.mu.Unlock()
 		cancel()
 		if aborted {

@@ -235,6 +235,69 @@ func TestSessionBacklogAndClose(t *testing.T) {
 	}
 }
 
+// A failed re-search publishes nothing; the session counts it and reports
+// its error until a later re-search succeeds, so a stale published mapping
+// can be told apart from a fresh one.
+func TestSessionCountsFailedSearches(t *testing.T) {
+	l1 := event.FromStrings("A B")
+	injected := errors.New("injected search failure")
+	calls := 0
+	search := func(ctx context.Context, pr *match.Problem, opts match.Options) (match.Mapping, match.Stats, error) {
+		calls++ // the writer goroutine is the only caller
+		if calls == 2 {
+			return nil, match.Stats{}, injected
+		}
+		return pr.AStarContext(ctx, opts)
+	}
+	var latest latestUpdate
+	s, err := NewSession(SessionConfig{L1: l1, Mode: match.ModeVertex, Search: search, OnUpdate: latest.observe})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Abort()
+
+	if _, err := s.Append([]string{"a", "b"}); err != nil {
+		t.Fatal(err)
+	}
+	waitRevision(t, &latest, 1)
+	if n, err := s.SearchFailures(); n != 0 || err != nil {
+		t.Fatalf("after a good search: %d failures, last %v; want 0, nil", n, err)
+	}
+	if _, err := s.Append([]string{"b", "a"}); err != nil {
+		t.Fatal(err)
+	}
+	deadline := time.Now().Add(10 * time.Second)
+	for n, _ := s.SearchFailures(); n == 0; n, _ = s.SearchFailures() {
+		if time.Now().After(deadline) {
+			t.Fatal("the failing re-search was never counted")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if n, err := s.SearchFailures(); n != 1 || !errors.Is(err, injected) {
+		t.Fatalf("after the failing search: %d failures, last %v; want 1, %v", n, err, injected)
+	}
+	latest.mu.Lock()
+	stale := latest.up.Revision
+	latest.mu.Unlock()
+	if stale != 1 {
+		t.Fatalf("published revision %d after a failed re-search, want 1", stale)
+	}
+
+	if _, err := s.Append([]string{"a"}); err != nil {
+		t.Fatal(err)
+	}
+	fin, err := s.Close(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fin.Revision != 3 {
+		t.Fatalf("final revision %d, want 3", fin.Revision)
+	}
+	if n, err := s.SearchFailures(); n != 1 || err != nil {
+		t.Fatalf("after a later good search: %d failures, last %v; want 1, nil", n, err)
+	}
+}
+
 // Abort must terminate promptly even with a search in flight, reject
 // subsequent appends, and leave Close reporting the aborted state.
 func TestSessionAbort(t *testing.T) {
