@@ -5,7 +5,6 @@ import (
 	"errors"
 	"math"
 	"sync/atomic"
-	"time"
 
 	"eventmatch/internal/event"
 	"eventmatch/internal/telemetry"
@@ -51,29 +50,22 @@ var boundedPhases = advancedPhases{pickEmbedding: (*seedContext).pickEmbedding, 
 
 // runAdvanced is HeuristicAdvancedContext with the given phases.
 func (pr *Problem) runAdvanced(ctx context.Context, opts Options, ph advancedPhases) (Mapping, Stats, error) {
-	tele := pr.newSearchTelemetry(opts)
-	span := tele.advancedTime.Start()
-	m, st, err := pr.heuristicAdvanced(ctx, opts, tele, ph)
-	span.Stop()
-	m, st = pr.applySeedFloor(opts, m, st, err)
-	tele.noteRescore(pr, m)
-	tele.finish(&st)
-	return m, st, err
+	return pr.anytime(ctx, opts, MetricAdvancedTime, func(opts Options, stop *stopper, tele *searchTelemetry, st *Stats) (Mapping, error) {
+		return pr.heuristicAdvanced(opts, stop, tele, st, ph)
+	})
 }
 
 // heuristicAdvanced is the Algorithm 3 loop behind HeuristicAdvancedContext.
-func (pr *Problem) heuristicAdvanced(ctx context.Context, opts Options, tele *searchTelemetry, ph advancedPhases) (m Mapping, st Stats, err error) {
-	start := time.Now()
-	stop := newStopper(ctx, opts, start)
-	defer func() { m, st = pr.applyCheckpointFloor(stop, m, st, err) }()
-	pr.applyWorkers(opts)
+// Stopped, it returns the matching it reached: the committed augmentations
+// (partial) or the repaired matching (complete).
+func (pr *Problem) heuristicAdvanced(opts Options, stop *stopper, tele *searchTelemetry, st *Stats, ph advancedPhases) (Mapping, error) {
 	n1, n2 := pr.L1.NumEvents(), pr.n2pad
 	n := n1
 	if n2 > n {
 		n = n2 // pad with dummy events so |V1| == |V2| (§5.1.1)
 	}
 	if n == 0 {
-		return Mapping{}, st, nil
+		return Mapping{}, nil
 	}
 	theta := pr.thetaMatrix(n)
 
@@ -103,7 +95,7 @@ func (pr *Problem) heuristicAdvanced(ctx context.Context, opts Options, tele *se
 	// only has to fill in the rest. Vertex/edge-only problems are unaffected
 	// (no complex patterns), keeping Proposition 6 intact.
 	if !opts.NoSeed {
-		anchors := pr.seedFromPatterns(&st, stop, ph.pickEmbedding)
+		anchors := pr.seedFromPatterns(st, stop, ph.pickEmbedding)
 		tele.seedAnchors.Add(int64(len(anchors)))
 		for _, pair := range anchors {
 			matchX[pair[0]] = pair[1]
@@ -112,98 +104,73 @@ func (pr *Problem) heuristicAdvanced(ctx context.Context, opts Options, tele *se
 	}
 
 	// Checkpoint snapshots during augmentation read the committed matching
-	// (matchX is only reassigned between rounds on this goroutine), complete
-	// it greedily and score it — the same shape the anytime exit produces.
-	stop.onSnapshot(func() (Mapping, float64) {
-		snap := NewMapping(n1)
-		for i := 0; i < n1; i++ {
-			if j := matchX[i]; j >= 0 && j < n2 {
-				snap[i] = event.ID(j)
-			}
-		}
-		used := make([]bool, n2)
-		for _, v := range snap {
-			if v != event.None {
-				used[v] = true
-			}
-		}
-		pr.completeGreedy(snap, used, opts)
-		assertInjective("advanced checkpoint snapshot", snap)
-		score := pr.Distance(snap)
-		return pr.stripArtificial(snap), score
-	})
+	// (matchX is only reassigned between rounds on this goroutine), the
+	// same partial mapping a stop hands back.
+	stop.onSnapshot(func() Mapping { return matched(matchX, n1, n2) })
 
 	for round := 0; round < n; round++ {
-		if _, halt := stop.now(&st); halt {
+		if _, halt := stop.now(st); halt {
 			break
 		}
 		tele.rounds.Inc()
-		next, ok := pr.augmentRound(theta, lx, ly, matchX, matchY, n1, n2, &st, opts, stop, tele)
+		next, ok := pr.augmentRound(theta, lx, ly, matchX, matchY, n1, n2, st, opts, stop, tele)
 		if !ok {
 			break // matching complete, or a budget fired mid-round
 		}
 		matchX, matchY, lx, ly = next.matchX, next.matchY, next.lx, next.ly
 	}
 
-	m = NewMapping(n1)
+	m := matched(matchX, n1, n2)
+	if _, halt := stop.halted(); halt {
+		// The augmentation (or seeding) was cut short: the frame completes
+		// the matching greedily, and the repair phase is skipped.
+		return m, nil
+	}
+	pr.stripArtificial(m)
+	mappedCount := 0
+	for _, v := range m {
+		if v != event.None {
+			mappedCount++
+		}
+	}
+	want := n1
+	if pr.n2real < want {
+		want = pr.n2real
+	}
+	if mappedCount != want {
+		return nil, errors.New("match: heuristic failed to produce a perfect matching")
+	}
+	// Repair phase — the paper's second intuition (§5.1): "modify the
+	// previously determined matching M referring to the patterns". Once the
+	// augmentation loop has produced a perfect matching, pattern-guided
+	// pairwise swaps (and moves onto unused targets) fix early erroneous
+	// commitments that augmenting paths alone did not revisit. Each swap is
+	// evaluated incrementally through the Ip index.
+	if !opts.NoRepair {
+		// Repair mutates the complete mapping in place; between poll sites
+		// it is always a valid complete mapping, which a checkpoint
+		// snapshot's completion leaves as it is and only scores.
+		stop.onSnapshot(func() Mapping { return m })
+		ph.repair(pr, m, st, stop, tele)
+		if _, halt := stop.halted(); halt {
+			return m, nil // the frame scores it
+		}
+	}
+	assertInjective("advanced result", m)
+	st.Score = pr.Distance(m)
+	return m, nil
+}
+
+// matched returns the mapping of the padded matching matchX restricted to
+// the n1 real rows and n2 padded targets; dummy columns are left unmapped.
+func matched(matchX []int, n1, n2 int) Mapping {
+	m := NewMapping(n1)
 	for i := 0; i < n1; i++ {
 		if j := matchX[i]; j >= 0 && j < n2 {
 			m[i] = event.ID(j)
 		}
 	}
-	if _, halt := stop.halted(); halt {
-		// Anytime path: the augmentation (or seeding) was cut short. Keep
-		// whatever the matching holds and complete the rest greedily over
-		// the padded target set, skipping the repair phase.
-		used := make([]bool, n2)
-		for _, v := range m {
-			if v != event.None {
-				used[v] = true
-			}
-		}
-		pr.completeGreedy(m, used, opts)
-	} else {
-		pr.stripArtificial(m)
-		mappedCount := 0
-		for _, v := range m {
-			if v != event.None {
-				mappedCount++
-			}
-		}
-		want := n1
-		if pr.n2real < want {
-			want = pr.n2real
-		}
-		if mappedCount != want {
-			st.Elapsed = time.Since(start)
-			return nil, st, errors.New("match: heuristic failed to produce a perfect matching")
-		}
-		// Repair phase — the paper's second intuition (§5.1): "modify the
-		// previously determined matching M referring to the patterns". Once the
-		// augmentation loop has produced a perfect matching, pattern-guided
-		// pairwise swaps (and moves onto unused targets) fix early erroneous
-		// commitments that augmenting paths alone did not revisit. Each swap is
-		// evaluated incrementally through the Ip index.
-		if !opts.NoRepair {
-			// Repair mutates the complete mapping in place; between poll
-			// sites it is always a valid complete mapping, so checkpoint
-			// snapshots just clone and score it.
-			stop.onSnapshot(func() (Mapping, float64) {
-				snap := m.Clone()
-				return pr.stripArtificial(snap), pr.Distance(snap)
-			})
-			ph.repair(pr, m, &st, stop, tele)
-		}
-	}
-	pr.stripArtificial(m)
-	assertInjective("advanced result", m)
-	if reason, halt := stop.halted(); halt {
-		st.Truncated = true
-		st.StopReason = reason
-	}
-	st.Elapsed = time.Since(start)
-	st.Score = pr.Distance(m)
-	return m, st, nil
+	return m
 }
 
 // roundResult is the state one augmentation round of HeuristicAdvanced
@@ -638,13 +605,6 @@ func augment(matchX, matchY []int, way []int, endCol int) {
 // scorePadded evaluates g+h for a padded matching state: dummy rows/columns
 // are ignored; columns held by dummy rows stay available to the bound's U2.
 func (pr *Problem) scorePadded(matchX []int, n1, n2 int, bound BoundKind) float64 {
-	m := NewMapping(n1)
-	used := make([]bool, n2)
-	for i := 0; i < n1; i++ {
-		if j := matchX[i]; j >= 0 && j < n2 {
-			m[i] = event.ID(j)
-			used[j] = true
-		}
-	}
-	return pr.Distance(m) + pr.hBound(bound, m, used)
+	m := matched(matchX, n1, n2)
+	return pr.Distance(m) + pr.hBound(bound, m, usedTargets(m, n2))
 }

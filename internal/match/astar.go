@@ -12,16 +12,6 @@ import (
 	"eventmatch/internal/telemetry"
 )
 
-// ErrBudgetExceeded reports that a search exhausted its node or time budget
-// before proving optimality (the paper's "cannot return results" outcome for
-// Exact on large event sets, Fig. 12).
-//
-// Deprecated: since the searches became anytime, exhausting a budget no
-// longer returns an error — the best complete-so-far mapping is returned
-// with Stats.Truncated set and Stats.StopReason naming the exhausted
-// budget. The sentinel remains for callers that still compare against it.
-var ErrBudgetExceeded = errors.New("match: search budget exceeded")
-
 // Options control the search algorithms.
 type Options struct {
 	Bound BoundKind // h-function for A* and the greedy heuristic
@@ -48,8 +38,6 @@ type Options struct {
 	// every value (candidates are laid out and selected in id and row
 	// order; only wall-clock-dependent truncation points can differ).
 	Workers int
-
-	// Ablation switches (all false in normal operation).
 
 	// Telemetry, when non-nil, receives the search's instrumentation: the
 	// astar.* / advanced.* / greedy.* effort counters and timers, plus the
@@ -89,10 +77,13 @@ type Options struct {
 	// mapping (typically a persisted Checkpoint.Mapping): the returned result
 	// is guaranteed to score at least as high as the seed, even when a budget
 	// fires immediately. The seed must be an injective mapping over L1 of the
-	// problem's exact dimensions; invalid seeds are ignored. The guarantee is
-	// implemented as a result floor — if the search's own result scores below
-	// the seed, the seed is returned instead (with the search's Stats).
+	// problem's exact dimensions; invalid seeds are ignored. A valid seed is
+	// the search's first incumbent: checkpoints are emitted only above it,
+	// and if the search's own result scores below the incumbent, the
+	// incumbent is returned instead (with the search's Stats).
 	Seed Mapping
+
+	// Ablation switches (all false in normal operation).
 
 	// NaiveOrder expands V1 events in id order instead of the §3.1
 	// most-patterns-first order.
@@ -171,22 +162,12 @@ func (pr *Problem) AStar(opts Options) (Mapping, Stats, error) {
 // MaxFrontier beam-prunes the open list to bound memory; a pruned run also
 // reports Truncated, since optimality can no longer be proven.
 func (pr *Problem) AStarContext(ctx context.Context, opts Options) (Mapping, Stats, error) {
-	tele := pr.newSearchTelemetry(opts)
-	span := tele.astarTime.Start()
-	m, st, err := pr.astarSearch(ctx, opts, tele)
-	span.Stop()
-	m, st = pr.applySeedFloor(opts, m, st, err)
-	tele.noteRescore(pr, m)
-	tele.finish(&st)
-	return m, st, err
+	return pr.anytime(ctx, opts, MetricAStarTime, pr.astarSearch)
 }
 
-// astarSearch is the Algorithm 1 loop behind AStarContext.
-func (pr *Problem) astarSearch(ctx context.Context, opts Options, tele *searchTelemetry) (m Mapping, st Stats, err error) {
-	start := time.Now()
-	stop := newStopper(ctx, opts, start)
-	defer func() { m, st = pr.applyCheckpointFloor(stop, m, st, err) }()
-	pr.applyWorkers(opts)
+// astarSearch is the Algorithm 1 loop behind AStarContext. Stopped, it
+// returns the best frontier node's partial mapping.
+func (pr *Problem) astarSearch(opts Options, stop *stopper, tele *searchTelemetry, st *Stats) (Mapping, error) {
 	n1, n2 := pr.L1.NumEvents(), pr.n2pad
 	depthGoal := n1
 	if n2 < depthGoal {
@@ -205,11 +186,11 @@ func (pr *Problem) astarSearch(ctx context.Context, opts Options, tele *searchTe
 	pruned := false
 
 	// ex.cur is the node being expanded. Checkpoint snapshots complete it —
-	// the best frontier node at the instant it was popped, the same base the
-	// anytime truncation path would use.
+	// the best frontier node at the instant it was popped, the same base a
+	// stop would hand back.
 	ex := getExpansion(pr, opts.Bound, tele, n2)
 	defer putExpansion(ex)
-	stop.onSnapshot(pr.snapshotNode(func() *node { return ex.cur }, opts))
+	stop.onSnapshot(func() Mapping { return ex.cur.m })
 
 	for q.Len() > 0 {
 		// The node popped one iteration ago is now referenced by nothing —
@@ -220,7 +201,6 @@ func (pr *Problem) astarSearch(ctx context.Context, opts Options, tele *searchTe
 		cur := ex.cur
 		if cur.depth == depthGoal {
 			assertInjective("astar goal", cur.m)
-			st.Elapsed = time.Since(start)
 			st.Score = cur.g
 			if pruned {
 				// The goal was reached, but pruning may have discarded the
@@ -228,13 +208,14 @@ func (pr *Problem) astarSearch(ctx context.Context, opts Options, tele *searchTe
 				st.Truncated = true
 				st.StopReason = StopMaxFrontier
 			}
-			return pr.stripArtificial(cur.m), st, nil
+			return pr.stripArtificial(cur.m), nil
 		}
 		// Deadline and cancellation are polled once per pop, before any
-		// child of cur is built.
-		if reason, halt := stop.now(&st); halt {
-			heap.Push(q, cur) // cur is the best frontier node: keep it reachable
-			return pr.truncateAStar(q, opts, &st, reason, start)
+		// child of cur is built. The frontier's best node by g+h is then
+		// the heap root once cur is back on the heap.
+		if _, halt := stop.now(st); halt {
+			heap.Push(q, cur)
+			return (*q)[0].m, nil
 		}
 		st.Expanded++
 		tele.expanded.Inc()
@@ -263,9 +244,9 @@ func (pr *Problem) astarSearch(ctx context.Context, opts Options, tele *searchTe
 		st.Generated += len(targets)
 		tele.generated.Add(int64(len(targets)))
 		if budgetHit {
-			reason, _ := stop.every(&st) // records StopMaxGenerated
+			stop.every(st) // records StopMaxGenerated
 			heap.Push(q, cur)
-			return pr.truncateAStar(q, opts, &st, reason, start)
+			return (*q)[0].m, nil
 		}
 		tele.frontierPeak.SetMax(int64(q.Len()))
 		if opts.MaxFrontier > 0 && q.Len() > opts.MaxFrontier {
@@ -275,8 +256,7 @@ func (pr *Problem) astarSearch(ctx context.Context, opts Options, tele *searchTe
 			pruned = true
 		}
 	}
-	st.Elapsed = time.Since(start)
-	return nil, st, errors.New("match: search space exhausted without a complete mapping")
+	return nil, errors.New("match: search space exhausted without a complete mapping")
 }
 
 // expansion is the fan-out scratch of one A* search. Every expansion runs
@@ -407,21 +387,6 @@ func (ex *expansion) childH(m Mapping, used []bool, b event.ID) float64 {
 		pr.bounds.put(bc)
 	}
 	return h
-}
-
-// truncateAStar produces the anytime result when a budget fires mid-search:
-// the best frontier node (by g+h) greedily completed into a full mapping.
-func (pr *Problem) truncateAStar(q *nodeHeap, opts Options, st *Stats, reason string, start time.Time) (Mapping, Stats, error) {
-	best := (*q)[0] // heap root: the frontier node with the largest g+h
-	m := best.m.Clone()
-	used := append([]bool(nil), best.used...)
-	pr.completeGreedy(m, used, opts)
-	assertInjective("astar anytime completion", m)
-	st.Truncated = true
-	st.StopReason = reason
-	st.Score = pr.Distance(m)
-	st.Elapsed = time.Since(start)
-	return pr.stripArtificial(m), *st, nil
 }
 
 // pruneFrontier beam-prunes the open list down to its best max nodes by

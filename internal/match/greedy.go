@@ -3,7 +3,6 @@ package match
 import (
 	"context"
 	"errors"
-	"time"
 
 	"eventmatch/internal/event"
 )
@@ -24,22 +23,13 @@ func (pr *Problem) GreedyExpand(opts Options) (Mapping, Stats, error) {
 // is completed with cheap greedy commitments (no h-bound evaluation) and
 // returned with Stats.Truncated set.
 func (pr *Problem) GreedyExpandContext(ctx context.Context, opts Options) (Mapping, Stats, error) {
-	tele := pr.newSearchTelemetry(opts)
-	span := tele.greedyTime.Start()
-	m, st, err := pr.greedyExpand(ctx, opts, tele)
-	span.Stop()
-	m, st = pr.applySeedFloor(opts, m, st, err)
-	tele.noteRescore(pr, m)
-	tele.finish(&st)
-	return m, st, err
+	return pr.anytime(ctx, opts, MetricGreedyTime, pr.greedyExpand)
 }
 
-// greedyExpand is the loop behind GreedyExpandContext.
-func (pr *Problem) greedyExpand(ctx context.Context, opts Options, tele *searchTelemetry) (m Mapping, st Stats, err error) {
-	start := time.Now()
-	stop := newStopper(ctx, opts, start)
-	defer func() { m, st = pr.applyCheckpointFloor(stop, m, st, err) }()
-	pr.applyWorkers(opts) // search stays sequential; trace scans use the pool
+// greedyExpand is the loop behind GreedyExpandContext. Stopped, it returns
+// the last committed node's partial mapping, or the best candidate's when
+// the stop came mid-round.
+func (pr *Problem) greedyExpand(opts Options, stop *stopper, tele *searchTelemetry, st *Stats) (Mapping, error) {
 	n1, n2 := pr.L1.NumEvents(), pr.n2pad
 	depthGoal := n1
 	if n2 < depthGoal {
@@ -47,13 +37,13 @@ func (pr *Problem) greedyExpand(ctx context.Context, opts Options, tele *searchT
 	}
 	cur := &node{m: NewMapping(n1), used: make([]bool, n2)}
 	// Checkpoint snapshots complete the last committed node, the same base
-	// the truncation path uses when a budget fires between commitments.
-	stop.onSnapshot(pr.snapshotNode(func() *node { return cur }, opts))
+	// a stop between commitments hands back.
+	stop.onSnapshot(func() Mapping { return cur.m })
 	ex := getExpansion(pr, opts.Bound, tele, n2)
 	defer putExpansion(ex)
 	for cur.depth < depthGoal {
-		if reason, halt := stop.now(&st); halt {
-			return pr.truncateGreedy(cur, opts, &st, reason, start)
+		if _, halt := stop.now(st); halt {
+			return cur.m, nil
 		}
 		st.Expanded++
 		tele.greedyExpanded.Inc()
@@ -64,14 +54,13 @@ func (pr *Problem) greedyExpand(ctx context.Context, opts Options, tele *searchT
 			if cur.used[b] {
 				continue
 			}
-			if reason, halt := stop.every(&st); halt {
-				// Commit the best candidate seen so far, then finish the
-				// rest of the mapping without the h-bound.
-				base := cur
+			if _, halt := stop.every(st); halt {
+				// Commit the best candidate seen so far; the frame
+				// finishes the rest of the mapping without the h-bound.
 				if best != nil {
-					base = best
+					return best.m, nil
 				}
-				return pr.truncateGreedy(base, opts, &st, reason, start)
+				return cur.m, nil
 			}
 			st.Generated++
 			tele.greedyGenerated.Inc()
@@ -85,8 +74,7 @@ func (pr *Problem) greedyExpand(ctx context.Context, opts Options, tele *searchT
 			}
 		}
 		if best == nil {
-			st.Elapsed = time.Since(start)
-			return nil, st, errors.New("match: no unmapped target event left")
+			return nil, errors.New("match: no unmapped target event left")
 		}
 		// cur's state was copied into every child, and the checkpoint base
 		// moves to best — the committed node can be recycled.
@@ -94,20 +82,6 @@ func (pr *Problem) greedyExpand(ctx context.Context, opts Options, tele *searchT
 		cur = best
 		pr.nodes.put(prev)
 	}
-	st.Elapsed = time.Since(start)
 	st.Score = cur.g
-	return pr.stripArtificial(cur.m), st, nil
-}
-
-// truncateGreedy completes base's partial mapping greedily and returns it as
-// the anytime result.
-func (pr *Problem) truncateGreedy(base *node, opts Options, st *Stats, reason string, start time.Time) (Mapping, Stats, error) {
-	m := base.m.Clone()
-	used := append([]bool(nil), base.used...)
-	pr.completeGreedy(m, used, opts)
-	st.Truncated = true
-	st.StopReason = reason
-	st.Score = pr.Distance(m)
-	st.Elapsed = time.Since(start)
-	return pr.stripArtificial(m), *st, nil
+	return pr.stripArtificial(cur.m), nil
 }

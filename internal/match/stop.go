@@ -50,9 +50,10 @@ type Progress struct {
 // Checkpoint is a periodic best-so-far snapshot of a running search,
 // delivered to Options.Checkpoint. Unlike Progress it carries a complete
 // injective mapping (the search's current partial mapping completed greedily,
-// exactly what the anytime truncation paths would return if the search were
-// cut at this instant) plus its pattern normal distance. Callers own the
-// mapping — it is a fresh copy, never aliased by the search.
+// exactly what the anytime frame would return if the search were cut at this
+// instant) plus its pattern normal distance. A snapshot is delivered only
+// when it scores strictly above the seed and every earlier checkpoint.
+// Callers own the mapping — it is a fresh copy, never aliased by the search.
 //
 // Checkpoints are the durability half of the anytime contract: a service
 // that persists the latest Checkpoint can re-seed an interrupted search via
@@ -83,21 +84,25 @@ type stopper struct {
 	lastProg  time.Time
 
 	// checkpoint emission: the hook comes from Options.Checkpoint, the
-	// snapshot closure is installed by each search (it knows how to complete
-	// its current partial state into a full mapping). Both run synchronously
-	// on the search goroutine, so they see a quiescent search state.
+	// partial closure is installed by each search (it returns the search's
+	// current partial mapping) and complete by the anytime frame (it turns a
+	// partial mapping into a scored complete one). All run synchronously on
+	// the search goroutine, so they see a quiescent search state.
 	checkpoint func(Checkpoint)
-	snapshot   func() (Mapping, float64) // nil until the search installs one
+	partial    func() Mapping // nil until the search installs one
+	complete   func(Mapping) (Mapping, float64)
 	ckptEvery  time.Duration
 	lastCkpt   time.Time
 
-	// Best checkpoint emitted so far. Greedy completions of successive
-	// current nodes fluctuate, so raw snapshots are not monotone; emission
-	// is gated on beating this score (the persisted stream only improves)
-	// and the retained mapping floors the search's final result — a caller
-	// can never observe a checkpointed score the result then regresses below.
-	bestCkpt      Mapping
-	bestCkptScore float64
+	// The incumbent: the best complete mapping the search has vouched for
+	// outside its own result — a valid Options.Seed, then each emitted
+	// checkpoint. Greedy completions of successive partial states
+	// fluctuate, so a snapshot is emitted only when it beats the incumbent
+	// (the persisted stream only improves), and the anytime frame returns
+	// the incumbent when the search's result scores below it: a caller
+	// never sees a score the result then falls below.
+	best      Mapping
+	bestScore float64
 }
 
 func newStopper(ctx context.Context, opts Options, start time.Time) *stopper {
@@ -124,11 +129,12 @@ func newStopper(ctx context.Context, opts Options, start time.Time) *stopper {
 	return s
 }
 
-// onSnapshot installs the search's best-so-far snapshot closure, enabling
-// checkpoint emission from the poll sites. Searches re-install it when they
-// change phase (e.g. HeuristicAdvanced's augmentation → repair transition).
-func (s *stopper) onSnapshot(fn func() (Mapping, float64)) {
-	s.snapshot = fn
+// onSnapshot installs the closure that returns the search's current
+// partial mapping, enabling checkpoint emission from the poll sites.
+// Searches re-install it when they change phase (e.g. HeuristicAdvanced's
+// augmentation → repair transition).
+func (s *stopper) onSnapshot(partial func() Mapping) {
+	s.partial = partial
 }
 
 // now reports whether the search must stop, polling every signal.
@@ -136,17 +142,16 @@ func (s *stopper) now(st *Stats) (string, bool) {
 	if s.reason != "" {
 		return s.reason, true
 	}
-	if s.progress != nil || (s.checkpoint != nil && s.snapshot != nil) {
+	if s.progress != nil || (s.checkpoint != nil && s.partial != nil) {
 		t := time.Now()
 		if s.progress != nil && t.Sub(s.lastProg) >= s.progEvery {
 			s.lastProg = t
 			s.progress(Progress{Expanded: st.Expanded, Generated: st.Generated, Elapsed: t.Sub(s.start)})
 		}
-		if s.checkpoint != nil && s.snapshot != nil && t.Sub(s.lastCkpt) >= s.ckptEvery {
+		if s.checkpoint != nil && s.partial != nil && t.Sub(s.lastCkpt) >= s.ckptEvery {
 			s.lastCkpt = t
-			if m, score := s.snapshot(); m != nil && (s.bestCkpt == nil || score > s.bestCkptScore) {
-				s.bestCkpt = m.Clone()
-				s.bestCkptScore = score
+			if m, score := s.complete(s.partial()); s.best == nil || score > s.bestScore {
+				s.best, s.bestScore = m.Clone(), score
 				s.checkpoint(Checkpoint{
 					Mapping:   m,
 					Score:     score,

@@ -53,21 +53,18 @@ type searchTelemetry struct {
 	pruneEvents  *telemetry.Counter
 	pruneDropped *telemetry.Counter
 	frontierPeak *telemetry.Gauge
-	astarTime    *telemetry.Timer
 
 	// Heuristic-Advanced (Algorithms 3 and 4).
-	rounds       *telemetry.Counter
-	trees        *telemetry.Counter
-	relabels     *telemetry.Counter
-	augPaths     *telemetry.Counter
-	repairMoves  *telemetry.Counter
-	seedAnchors  *telemetry.Counter
-	advancedTime *telemetry.Timer
+	rounds      *telemetry.Counter
+	trees       *telemetry.Counter
+	relabels    *telemetry.Counter
+	augPaths    *telemetry.Counter
+	repairMoves *telemetry.Counter
+	seedAnchors *telemetry.Counter
 
 	// Heuristic-Simple.
 	greedyExpanded  *telemetry.Counter
 	greedyGenerated *telemetry.Counter
-	greedyTime      *telemetry.Timer
 }
 
 // newSearchTelemetry resolves the search metrics against the run's registry
@@ -86,33 +83,30 @@ func (pr *Problem) newSearchTelemetry(opts Options) *searchTelemetry {
 		pruneEvents:  reg.Counter(MetricAStarPruneEvents),
 		pruneDropped: reg.Counter(MetricAStarPruneDropped),
 		frontierPeak: reg.Gauge(MetricAStarFrontierPeak),
-		astarTime:    reg.Timer(MetricAStarTime),
 
-		rounds:       reg.Counter(MetricAdvancedRounds),
-		trees:        reg.Counter(MetricAdvancedTrees),
-		relabels:     reg.Counter(MetricAdvancedRelabels),
-		augPaths:     reg.Counter(MetricAdvancedAugPaths),
-		repairMoves:  reg.Counter(MetricAdvancedRepair),
-		seedAnchors:  reg.Counter(MetricAdvancedSeeds),
-		advancedTime: reg.Timer(MetricAdvancedTime),
+		rounds:      reg.Counter(MetricAdvancedRounds),
+		trees:       reg.Counter(MetricAdvancedTrees),
+		relabels:    reg.Counter(MetricAdvancedRelabels),
+		augPaths:    reg.Counter(MetricAdvancedAugPaths),
+		repairMoves: reg.Counter(MetricAdvancedRepair),
+		seedAnchors: reg.Counter(MetricAdvancedSeeds),
 
 		greedyExpanded:  reg.Counter(MetricGreedyExpanded),
 		greedyGenerated: reg.Counter(MetricGreedyGenerated),
-		greedyTime:      reg.Timer(MetricGreedyTime),
 	}
 }
 
-// noteRescore recomputes the returned mapping's pattern normal distance from
-// scratch and publishes it as a gauge in millionths, cross-checking the
-// score the search maintained incrementally. The rescore re-reads every
-// completed pattern's frequency, so an instrumented run always exercises the
-// frequency cache's hit path at least once. Skipped entirely without a
-// registry.
-func (t *searchTelemetry) noteRescore(pr *Problem, m Mapping) {
-	if t.reg == nil || m == nil {
+// noteRescore publishes the returned mapping's pattern normal distance,
+// recomputed from scratch by the anytime frame, as a gauge in millionths,
+// cross-checking the score the search maintained incrementally. The rescore
+// re-reads every completed pattern's frequency, so an instrumented run
+// always exercises the frequency cache's hit path at least once. No-op
+// without a registry.
+func (t *searchTelemetry) noteRescore(score float64) {
+	if t.reg == nil {
 		return
 	}
-	t.reg.Gauge(MetricSearchRescore).Set(int64(math.Round(pr.Distance(m) * 1e6)))
+	t.reg.Gauge(MetricSearchRescore).Set(int64(math.Round(score * 1e6)))
 }
 
 // finish stamps the run's registry snapshot into the returned Stats, giving

@@ -281,17 +281,10 @@ func (p *Pattern) collectEdges(edges *[]depgraph.Edge) {
 	}
 }
 
-// MatchesWindow reports whether the window w (which must have length
+// matchExact reports whether the window w (which must have length
 // p.Size()) is one of the orderings in I(p). Because all sub-pattern event
 // sets are disjoint, the block owning each position is determined by its
 // first event, so the check is linear — no permutation enumeration.
-func (p *Pattern) MatchesWindow(w []event.ID) bool {
-	if len(w) != p.size {
-		return false
-	}
-	return p.matchExact(w)
-}
-
 func (p *Pattern) matchExact(w []event.ID) bool {
 	switch p.op {
 	case OpEvent:

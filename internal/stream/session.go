@@ -1,3 +1,9 @@
+// Package stream is the incremental matching core behind the daemon's
+// streaming sessions: target traces arrive one append at a time, each
+// append is folded into a match.StreamProblem (the trace index and the
+// frequency cache are updated in place), and the mapping is re-searched
+// with the previously published one as the seed, so no update scores below
+// the previous mapping re-scored on the grown log.
 package stream
 
 import (
