@@ -137,6 +137,52 @@ func TestPatternFrequency(t *testing.T) {
 	}
 }
 
+// PatternFrequency binds against the log's own alphabet; on generated
+// logs it must agree with the bound pattern's Frequency.
+func TestPatternFrequencyMatchesBoundPattern(t *testing.T) {
+	g := gen.RealLike(5, 600)
+	bound, err := BindPatterns(g.Patterns, g.L1.Alphabet)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, src := range g.Patterns {
+		got, err := PatternFrequency(src, g.L1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := bound[i].Frequency(g.L1); got != want {
+			t.Errorf("%s: PatternFrequency = %v, bound Frequency = %v", src, got, want)
+		}
+		if got < 0 || got > 1 {
+			t.Errorf("%s: frequency %v outside [0,1]", src, got)
+		}
+	}
+}
+
+func TestPatternFrequencyUnknownEvent(t *testing.T) {
+	l1, _ := demoLogs()
+	before := l1.Alphabet.Len()
+	if _, err := PatternFrequency("SEQ(Receive,Refund)", l1); err == nil || !strings.Contains(err.Error(), "Refund") {
+		t.Errorf("unknown event error = %v", err)
+	}
+	if l1.Alphabet.Len() != before {
+		t.Errorf("alphabet grew from %d to %d events", before, l1.Alphabet.Len())
+	}
+}
+
+func TestPatternFrequencyNoTraces(t *testing.T) {
+	l := LogFromStrings()
+	l.Alphabet.Intern("A")
+	l.Alphabet.Intern("B")
+	f, err := PatternFrequency("AND(A,B)", l)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if f != 0 {
+		t.Errorf("frequency over a log with no traces = %v, want 0", f)
+	}
+}
+
 func TestEvaluateWrapper(t *testing.T) {
 	m := Mapping{0, 1}
 	q := Evaluate(m, m)
